@@ -18,7 +18,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from invigil.audio.model import band_contrast_model
 from invigil.config import EngineConfig
 from invigil.pipeline import run_session
 from invigil.simulator import evaluate_reports, generate_session, random_scenario
@@ -33,13 +32,12 @@ def main() -> int:
     args = parser.parse_args()
 
     cfg = EngineConfig()
-    voice = band_contrast_model()
     reports = []
     truths = []
     for seed in range(args.start, args.start + args.seeds):
         spec = random_scenario(seed)
         log, gt = generate_session(spec, cfg)
-        report = run_session(log, cfg, voice)
+        report = run_session(log, cfg)
         reports.append(report)
         truths.append(gt)
         if args.verbose:

@@ -119,12 +119,10 @@ class MaxPool2:
 
     def forward(self, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
         patches = self._patches(x)
-        idx = patches.argmax(axis=3)
-        y = np.take_along_axis(patches, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
         if cache is not None:
-            cache["idx"] = idx
+            cache["idx"] = patches.argmax(axis=3)
             cache["x_shape"] = x.shape
-        return y
+        return patches.max(axis=3)
 
     def backward(self, dy: np.ndarray, cache: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         n, h, w, c = cache["x_shape"]

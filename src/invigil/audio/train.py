@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import EngineError
+from ..events import pcm_samples
 from .dsp import DEFAULT_FRAME_LEN, DEFAULT_HOP, PcmWindow, Spectrogram, stft_spectrogram
 from .model import ShapeMismatch, VoiceModel, default_voice_model, softmax
 
@@ -350,7 +351,7 @@ def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[tuple
                     f"'{LABEL_NON_VOICE}', got {label!r}"
                 )
             raw = (corpus_dir / rel).read_bytes()
-            samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+            samples = pcm_samples(raw)
             try:
                 window = PcmWindow(samples=samples, sample_rate=rate)
             except ValueError as exc:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio.model import band_contrast_model, load_model, save_model
+from .audio.model import load_model, save_model
 from .audio.train import TrainingConfig, cross_validate, load_corpus, train_voice_model
 from .config import BadConfig, EngineConfig, load_config_file
 from .errors import EngineError
@@ -66,10 +66,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = log.config.merged(overrides)
     log = resample_frames(log, cfg.max_fps)
     log = resolve_audio_refs(log, Path(args.log).parent)
-    if args.voice_model is not None:
-        model = load_model(args.voice_model)
-    else:
-        model = band_contrast_model()
+    model = None if args.voice_model is None else load_model(args.voice_model)
     _print_effective(cfg, None)
     report = run_session(log, cfg, voice_model=model)
     Path(args.out).write_bytes(report_to_json(report))
@@ -83,7 +80,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = EngineConfig()
     _print_effective(cfg, spec.seed)
     log, gt = generate_session(spec, cfg)
-    report = run_session(log, cfg, voice_model=band_contrast_model())
+    report = run_session(log, cfg)
     metrics = evaluate_reports([report], [gt])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -99,16 +99,17 @@ def _config_from_dict(data: Mapping[str, Any]) -> EngineConfig:
     values = _validate_keys(data)
     if "device_thresholds" in values:
         dt = values["device_thresholds"]
-        if isinstance(dt, Mapping):
-            extra = set(dt) - {"low", "high"}
-            if extra:
-                raise BadConfig(f"unknown device_thresholds keys: {sorted(extra)}")
-            try:
-                values["device_thresholds"] = DeviceThresholds(
-                    low=float(dt["low"]), high=float(dt["high"])
-                )
-            except (KeyError, ValueError) as exc:
-                raise BadConfig(f"bad device_thresholds: {exc}") from exc
+        if not isinstance(dt, Mapping):
+            raise BadConfig("device_thresholds must be an object with low and high")
+        extra = set(dt) - {"low", "high"}
+        if extra:
+            raise BadConfig(f"unknown device_thresholds keys: {sorted(extra)}")
+        try:
+            values["device_thresholds"] = DeviceThresholds(
+                low=float(dt["low"]), high=float(dt["high"])
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadConfig(f"bad device_thresholds: {exc}") from exc
     if "iou_thresholds" in values:
         it = values["iou_thresholds"]
         if not isinstance(it, Mapping):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -28,8 +27,6 @@ from .config import BadConfig, EngineConfig, config_from_dict
 from .errors import EngineError
 from .facematch import Embedding, ReferenceSet
 from .objectgate import BoundingBox, Detection, InvalidScore
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_SAMPLE_RATE = 16_000
 
@@ -62,18 +59,6 @@ class EventKind(str, Enum):
 
 # Kinds subject to the frames-per-second cap; audio and embeddings are not.
 FRAME_KINDS = frozenset({EventKind.FRAME_DETECTIONS, EventKind.FRAME_IMAGE})
-
-
-@dataclass(frozen=True)
-class FrameMeta:
-    """Capture resolution; the deployed camera path uses 400x224."""
-
-    width: int = 400
-    height: int = 224
-
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"frame size must be positive, got {self.width}x{self.height}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +96,8 @@ class AudioWindowPayload:
                 raise ValueError(
                     f"audio window must hold exactly {self.sample_rate} samples, got shape {arr.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError("audio samples must be finite")
             object.__setattr__(self, "samples", arr)
 
     @property
@@ -283,50 +270,54 @@ def parse_session_log(stream: bytes | str | Iterable[bytes]) -> SessionLog:
         text = stream
     else:
         text = b"".join(stream).decode("utf-8")
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    # (line number in the file, text) of each non-blank line, so errors name file lines
+    lines = [(no, ln) for no, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     if not lines:
         raise MissingReferences("empty log: no reference embeddings")
 
-    def record(lineno: int) -> Mapping:
+    def record(index: int) -> tuple[int, Mapping]:
+        lineno, line = lines[index]
         try:
-            rec = json.loads(lines[lineno - 1])
+            rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(f"line {lineno}: not valid JSON: {exc}") from exc
         if not isinstance(rec, Mapping):
             raise MalformedRecord(f"line {lineno}: record must be a JSON object")
-        return rec
+        return lineno, rec
 
-    header = record(1)
+    lineno, header = record(0)
     if header.get("kind") != "header":
-        raise MalformedRecord(f"line 1: first record must be the header, got kind {header.get('kind')!r}")
-    session_id = str(_expect(header, "session_id", 1))
+        raise MalformedRecord(
+            f"line {lineno}: first record must be the header, got kind {header.get('kind')!r}"
+        )
+    session_id = str(_expect(header, "session_id", lineno))
     raw_config = header.get("config", {})
     if not isinstance(raw_config, Mapping):
-        raise MalformedRecord("line 1: config must be an object")
+        raise MalformedRecord(f"line {lineno}: config must be an object")
     try:
         config = config_from_dict(raw_config)
     except BadConfig as exc:
-        raise MalformedRecord(f"line 1: {exc}") from exc
+        raise MalformedRecord(f"line {lineno}: {exc}") from exc
 
     if len(lines) < 2:
         raise MissingReferences("log ends before the reference embeddings record")
-    refs_rec = record(2)
+    lineno, refs_rec = record(1)
     if refs_rec.get("kind") != "references":
         raise MissingReferences(
             f"second record must hold reference embeddings, got kind {refs_rec.get('kind')!r}"
         )
-    rows = _expect(refs_rec, "embeddings", 2)
+    rows = _expect(refs_rec, "embeddings", lineno)
     if not isinstance(rows, list) or not rows:
         raise MissingReferences("reference embeddings record is empty")
     try:
         references = ReferenceSet.from_lists(rows, expected_count=config.reference_count)
     except (EngineError, TypeError, ValueError) as exc:
-        raise MalformedRecord(f"line 2: {exc}") from exc
+        raise MalformedRecord(f"line {lineno}: {exc}") from exc
 
     events: list[SensorEvent] = []
     last_t: int | None = None
-    for lineno in range(3, len(lines) + 1):
-        rec = record(lineno)
+    for index in range(2, len(lines)):
+        lineno, rec = record(index)
         t_ms = _as_int(_expect(rec, "t_ms", lineno), "t_ms", lineno)
         if t_ms < 0:
             raise MalformedRecord(f"line {lineno}: t_ms must be non-negative, got {t_ms}")
@@ -463,7 +454,7 @@ def load_audio_samples(payload: AudioWindowPayload, base_dir: str | Path = ".") 
             raise AudioIntegrityError(
                 f"audio file {path} hash mismatch: expected {payload.sha256}, got {digest}"
             )
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = pcm_samples(raw)
     if samples.shape[0] != payload.sample_rate:
         raise AudioIntegrityError(
             f"audio file {path} holds {samples.shape[0]} samples, expected {payload.sample_rate}"
@@ -486,8 +477,13 @@ def resolve_audio_refs(log: SessionLog, base_dir: str | Path) -> SessionLog:
 def pcm_bytes(samples: np.ndarray) -> bytes:
     """Encode float samples in [-1, 1] as raw 16-bit little-endian PCM.
 
-    Uses the same 1/32768 step as the decoder, so values already on the
+    Uses the same 1/32768 step as pcm_samples, so values already on the
     16-bit grid survive an encode/decode round trip bit-exactly.
     """
     scaled = np.round(np.asarray(samples, dtype=np.float64) * 32768.0)
     return np.clip(scaled, -32768, 32767).astype("<i2").tobytes()
+
+
+def pcm_samples(raw: bytes) -> np.ndarray:
+    """Decode raw 16-bit little-endian PCM to float64 samples in [-1, 1)."""
+    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0

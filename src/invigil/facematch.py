@@ -114,7 +114,6 @@ class ReferenceSet:
 class IdentityDecision:
     min_distance: float
     verdict: Verdict
-    threshold_used: float
 
 
 def euclidean_distance(a: Embedding, b: Embedding) -> float:
@@ -142,4 +141,4 @@ def classify_identity(
         raise ValueError(f"threshold must be positive, got {threshold}")
     min_d = min_reference_distance(probe, refs)
     verdict = Verdict.CLEAN if min_d <= threshold else Verdict.ANOTHER_PERSON
-    return IdentityDecision(min_distance=min_d, verdict=verdict, threshold_used=threshold)
+    return IdentityDecision(min_distance=min_d, verdict=verdict)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .audio.dsp import PcmWindow, stft_spectrogram
-from .audio.model import VoiceModel, classify_window
+from .audio.model import VoiceModel, band_contrast_model, classify_window
 from .config import EngineConfig
 from .errors import EngineError
 from .events import (
@@ -120,8 +120,9 @@ class SessionReport:
 
 
 def report_to_json(report: SessionReport) -> bytes:
-    """Canonical report document: sorted keys, LF-terminated, byte-stable."""
-    return (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """Canonical report document: strict JSON, sorted keys, LF-terminated, byte-stable."""
+    text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+    return (text + "\n").encode("utf-8")
 
 
 @dataclass
@@ -393,13 +394,15 @@ def run_session(
 ) -> SessionReport:
     """Replay one full session log and return its report.
 
-    Uses the log's embedded config when none is given. Audio windows
-    are only classified when a voice model is supplied. The log is
-    replayed as-is; apply resample_frames first when the source may
-    exceed the frame-rate cap.
+    Uses the log's embedded config when none is given, and the built-in
+    band-contrast classifier for audio windows when no voice model is
+    given, as `analyze` does. The log is replayed as-is; apply
+    resample_frames first when the source may exceed the frame-rate cap.
     """
     if cfg is None:
         cfg = log.config
+    if voice_model is None:
+        voice_model = band_contrast_model()
     state = PipelineState.initial(log.reference_embeddings)
     for index, ev in enumerate(log.events):
         try:

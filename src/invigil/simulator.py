@@ -35,6 +35,8 @@ from .events import (
     FrameDetections,
     SensorEvent,
     SessionLog,
+    pcm_bytes,
+    pcm_samples,
 )
 from .facematch import EMBEDDING_DIM, Embedding, ReferenceSet
 from .objectgate import LAPTOP, PERSON, PHONE, BoundingBox, Detection, DeviceVerdict, gate_device_score
@@ -240,7 +242,7 @@ def synth_audio(kind: str, seed: int, sample_rate: int = DEFAULT_SAMPLE_RATE) ->
 
 def _quantize(samples: np.ndarray) -> np.ndarray:
     """Snap to the signed-16-bit grid so JSON round-trips byte-exactly."""
-    return np.clip(np.round(samples * 32768.0), -32768, 32767) / 32768.0
+    return pcm_samples(pcm_bytes(samples))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from invigil.audio.dsp import (
     PcmWindow,
     Spectrogram,
     WindowTooShort,
-    fft_rows,
     hann_window,
     spectrogram_shape,
     stft_spectrogram,
@@ -23,57 +22,62 @@ def _rel_err(got, want):
 
 
 # ---------------------------------------------------------------------------
-# FFT core
+# Transform core, one frame at a time through stft_spectrogram
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 8, 32, 128, 512])
+def _one_frame(x: np.ndarray) -> np.ndarray:
+    """Magnitudes of the single frame spanning x."""
+    n = x.shape[0]
+    return stft_spectrogram(PcmWindow(samples=x, sample_rate=n), frame_len=n, hop=n).magnitudes[0]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 32, 128, 512])
 def test_fft_matches_direct_dft(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n)
-    assert _rel_err(fft_rows(x), oracles.dft_naive(x)) < 1e-9
-
-
-def test_fft_complex_input():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    assert _rel_err(fft_rows(x), oracles.dft_naive(x)) < 1e-9
+    want = np.abs(oracles.dft_naive(x * hann_window(n)))[: n // 2 + 1]
+    assert _rel_err(_one_frame(x), want) < 1e-9
 
 
 def test_fft_batches_rows_independently():
     rng = np.random.default_rng(9)
-    rows = rng.standard_normal((5, 32))
-    batched = fft_rows(rows)
+    samples = rng.standard_normal(32 * 5)
+    batched = stft_spectrogram(PcmWindow(samples=samples, sample_rate=160), frame_len=32, hop=32)
     for i in range(5):
-        assert np.array_equal(batched[i], fft_rows(rows[i]))
-
-
-def test_fft_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        fft_rows(np.zeros(12))
+        assert np.array_equal(batched.magnitudes[i], _one_frame(samples[32 * i : 32 * (i + 1)]))
 
 
 def test_fft_parseval():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal(256)
-    spectrum = fft_rows(x)
-    # unnormalised transform: sum |X|^2 = N sum |x|^2
-    assert np.sum(np.abs(spectrum) ** 2) == pytest.approx(256 * np.sum(x**2), rel=1e-12)
+    samples = rng.standard_normal(1024)
+    spec = stft_spectrogram(PcmWindow(samples=samples, sample_rate=1024), frame_len=256, hop=128)
+    power = spec.magnitudes**2
+    # the half-spectrum holds bins 0 and N/2 once and every other bin's mirror twice
+    full = power[:, 0] + power[:, -1] + 2.0 * power[:, 1:-1].sum(axis=1)
+    frames = np.lib.stride_tricks.sliding_window_view(samples, 256)[::128]
+    # unnormalised transform: sum |X|^2 = N sum |w x|^2
+    want = 256 * np.sum((frames * hann_window(256)) ** 2, axis=1)
+    assert np.allclose(full, want, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_fft_linearity(seed):
+    # magnitudes of a linear transform scale with |c| and obey the
+    # parallelogram law |X(a+b)|^2 + |X(a-b)|^2 = 2|X(a)|^2 + 2|X(b)|^2
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal((2, 64))
-    lhs = fft_rows(2.5 * a - b)
-    rhs = 2.5 * fft_rows(a) - fft_rows(b)
+    assert _rel_err(_one_frame(-2.5 * a), 2.5 * _one_frame(a)) < 1e-9
+    lhs = _one_frame(a + b) ** 2 + _one_frame(a - b) ** 2
+    rhs = 2.0 * _one_frame(a) ** 2 + 2.0 * _one_frame(b) ** 2
     assert _rel_err(lhs, rhs) < 1e-9
 
 
 def test_fft_impulse_is_flat():
     x = np.zeros(32)
-    x[0] = 1.0
-    assert np.allclose(fft_rows(x), np.ones(32))
+    x[16] = 1.0
+    # an impulse keeps its window weight in every bin
+    assert np.allclose(_one_frame(x), np.full(17, hann_window(32)[16]))
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +143,8 @@ def test_stft_rejects_bad_frame_len_and_hop():
     window = PcmWindow(samples=np.zeros(16000))
     with pytest.raises(ValueError):
         stft_spectrogram(window, frame_len=300)
+    with pytest.raises(ValueError):
+        stft_spectrogram(window, frame_len=1)
     with pytest.raises(ValueError):
         stft_spectrogram(window, hop=0)
     with pytest.raises(ValueError):

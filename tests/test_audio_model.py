@@ -145,6 +145,20 @@ def test_maxpool_routes_gradient_to_argmax():
     assert np.array_equal(dx, expected)
 
 
+def test_maxpool_forward_same_with_and_without_cache():
+    rng = np.random.default_rng(17)
+    # small integers make ties inside pooling patches common
+    x = rng.integers(-3, 4, size=(2, 9, 11, 3)).astype(np.float32)
+    layer = MaxPool2()
+    cache: dict = {}
+    with_cache = layer.forward(x, cache)
+    without = layer.forward(x)
+    assert with_cache.dtype == without.dtype == np.float32
+    assert np.array_equal(with_cache, without)
+    gathered = np.take_along_axis(layer._patches(x), cache["idx"][:, :, :, None, :], axis=3)
+    assert np.array_equal(gathered[:, :, :, 0, :], without)
+
+
 def test_maxpool_drops_odd_edges():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((1, 5, 7, 2))

@@ -3,12 +3,14 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from invigil.audio.model import load_model
 from invigil.events import pcm_bytes, serialize_session_log
+from invigil.pipeline import report_to_json, run_session
 from invigil.simulator import (
     Episode,
     EpisodeKind,
@@ -202,6 +204,35 @@ def test_analyze_reproduces_simulated_report(assets, tmp_path):
     proc = run_cli("analyze", "--log", str(out_dir / "session.jsonl"), "--out", str(replayed))
     assert proc.returncode == 0, proc.stderr
     assert replayed.read_bytes() == (out_dir / "report.json").read_bytes()
+
+
+def test_library_and_analyze_give_the_same_report(tmp_path):
+    log, _ = generate_session(random_scenario(3))
+    (tmp_path / "session.jsonl").write_bytes(serialize_session_log(log))
+    out = tmp_path / "report.json"
+    proc = run_cli("analyze", "--log", str(tmp_path / "session.jsonl"), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    library = report_to_json(run_session(log))
+    assert b"VoiceDetection" in library
+    assert library == out.read_bytes()
+
+
+def test_bench_tracer_patches_resolve():
+    # the benchmark's traced run wraps engine attributes by name; a rename
+    # in src/ must fail here rather than only under the benchmark
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+        "from tracer import Tracer, install\n"
+        "install(Tracer())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "bench"), str(root / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

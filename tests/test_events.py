@@ -22,6 +22,7 @@ from invigil.events import (
     load_audio_samples,
     parse_session_log,
     pcm_bytes,
+    pcm_samples,
     resample_frames,
     resolve_audio_refs,
     serialize_session_log,
@@ -88,6 +89,36 @@ def test_malformed_json_names_line(small_log):
     lines = serialize_session_log(small_log).decode().splitlines()
     lines[3] = "{not json"
     with pytest.raises(MalformedRecord, match="line 4"):
+        parse_session_log("\n".join(lines))
+
+
+def test_errors_name_file_line_after_blank_lines(small_log):
+    lines = serialize_session_log(small_log).decode().splitlines()
+    rec = json.loads(lines[4])
+    del rec["payload"]
+    lines[4] = json.dumps(rec)
+    text = "\n".join(lines[:2] + ["", "   "] + lines[2:])
+    # the broken record sits on file line 7 once two blank lines follow line 2
+    with pytest.raises(MalformedRecord, match="line 7: missing key 'payload'"):
+        parse_session_log(text)
+
+
+def test_non_mapping_device_thresholds_rejected(small_log):
+    lines = serialize_session_log(small_log).decode().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["device_thresholds"] = 5
+    lines[0] = json.dumps(header)
+    with pytest.raises(MalformedRecord, match="line 1: device_thresholds"):
+        parse_session_log("\n".join(lines))
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_inline_audio_rejected(identity, bad):
+    _, refs = identity
+    lines = serialize_session_log(make_log([frame_event(0), audio_event(100, np.zeros(16000))], refs))
+    lines = lines.decode().splitlines()
+    lines[3] = lines[3].replace("[0.0,", f"[{bad},", 1)
+    with pytest.raises(MalformedRecord, match="line 4: audio samples must be finite"):
         parse_session_log("\n".join(lines))
 
 
@@ -207,8 +238,8 @@ def test_pcm_round_trip_on_grid():
     rng = np.random.default_rng(3)
     samples = np.round(rng.uniform(-1, 1, 16000) * 32768).clip(-32768, 32767) / 32768.0
     raw = pcm_bytes(samples)
-    decoded = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    assert np.array_equal(decoded, samples)
+    assert len(raw) == 2 * 16000
+    assert np.array_equal(pcm_samples(raw), samples)
 
 
 def test_load_audio_checks_hash_and_length(tmp_path):

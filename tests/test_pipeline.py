@@ -10,10 +10,12 @@ from invigil.audio.model import band_contrast_model
 from invigil.config import EngineConfig
 from invigil.events import AudioWindowPayload, EventKind, SensorEvent
 from invigil.pipeline import (
+    FlagEvent,
     FlagKind,
     OutOfOrderEvent,
     PipelineState,
     SessionLabel,
+    SessionReport,
     finalize_report,
     report_to_json,
     run_session,
@@ -397,6 +399,13 @@ def test_run_session_uses_embedded_config(identity):
     log = make_log([frame_event(0, devices=(("phone", 0.15),))], refs, cfg=cfg)
     report = run_session(log)
     assert [f.kind for f in report.flags] == [FlagKind.GENERAL_SUSPICIOUS]
+
+
+def test_report_json_rejects_non_finite_values():
+    flag = FlagEvent(kind=FlagKind.VOICE_DETECTION, t_ms=0, score=float("nan"))
+    report = SessionReport(session_id="s", final_label=SessionLabel.SUSPECT, flags=(flag,))
+    with pytest.raises(ValueError):
+        report_to_json(report)
 
 
 def test_flags_sorted_by_time_with_stable_ties(identity):
