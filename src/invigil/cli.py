@@ -25,9 +25,21 @@ from .audio.model import load_model, save_model
 from .audio.train import TrainingConfig, cross_validate, load_corpus, train_voice_model
 from .config import BadConfig, EngineConfig, load_config_file
 from .errors import EngineError
-from .events import parse_session_log, resample_frames, resolve_audio_refs, serialize_session_log
+# parse_session_log, resample_frames and resolve_audio_refs (the whole-log
+# forms of the analyze steps) are not called here but stay attributes of
+# this module, because bench/tracer.py wraps them.
+from .events import (  # noqa: F401
+    AudioIntegrityError,
+    frame_rate_cap,
+    parse_session_log,
+    read_session_log,
+    resample_frames,
+    resolve_audio,
+    resolve_audio_refs,
+    serialize_session_log,
+)
 from .objectgate import evaluate_dataset, read_detection_dataset
-from .pipeline import report_to_json, run_session
+from .pipeline import replay_events, report_to_json, run_session
 from .simulator import evaluate_reports, generate_session, load_scenario_file
 
 
@@ -61,16 +73,28 @@ def _training_config(audio: dict) -> TrainingConfig:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    log = parse_session_log(Path(args.log).read_bytes())
-    overrides, _ = _load_cfg_overrides(args.config)
-    cfg = log.config.merged(overrides)
-    log = resample_frames(log, cfg.max_fps)
-    log = resolve_audio_refs(log, Path(args.log).parent)
-    model = None if args.voice_model is None else load_model(args.voice_model)
-    _print_effective(cfg, None)
-    report = run_session(log, cfg, voice_model=model)
+    base_dir = Path(args.log).parent
+    with open(args.log, "rb") as lines:
+        log = read_session_log(lines)
+        overrides, _ = _load_cfg_overrides(args.config)
+        cfg = log.config.merged(overrides)
+        model = None if args.voice_model is None else load_model(args.voice_model)
+        _print_effective(cfg, None)
+        events = _capped_resolved(log.events, cfg.max_fps, base_dir)
+        report = replay_events(log.reference_embeddings, log.session_id, events, cfg, model)
     Path(args.out).write_bytes(report_to_json(report))
     return 0
+
+
+def _capped_resolved(events, max_fps: float, base_dir: Path):
+    """Numbered events through the frame-rate cap, with their PCM side files loaded."""
+    keep = frame_rate_cap(max_fps)
+    for no, ev in events:
+        if keep(ev):
+            try:
+                yield no, resolve_audio(ev, base_dir)
+            except AudioIntegrityError as exc:
+                raise AudioIntegrityError(f"line {no}: {exc}") from exc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -19,6 +20,22 @@ from .objectgate import DEFAULT_IOU_THRESHOLDS, DeviceThresholds
 
 class BadConfig(EngineError):
     """A config file or embedded config snapshot violates the schema."""
+
+
+def _finite_number(value: Any, name: str) -> Any:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise BadConfig(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+_NUMBER_FIELDS = ("face_threshold", "person_score_min", "max_fps", "voice_threshold")
+_INTEGER_FIELDS = (
+    "absence_long_ms",
+    "absence_recheck_min_ms",
+    "evidence_clip_ms",
+    "reference_count",
+    "blur_radius",
+)
 
 
 @dataclass(frozen=True)
@@ -47,6 +64,12 @@ class EngineConfig:
     recheck_on_any_return: bool = False
 
     def __post_init__(self) -> None:
+        for name in _NUMBER_FIELDS:
+            _finite_number(getattr(self, name), name)
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise BadConfig(f"{name} must be an integer, got {value!r}")
         if self.face_threshold <= 0:
             raise BadConfig("face_threshold must be positive")
         if not (0.0 <= self.person_score_min <= 1.0):
@@ -106,7 +129,8 @@ def _config_from_dict(data: Mapping[str, Any]) -> EngineConfig:
             raise BadConfig(f"unknown device_thresholds keys: {sorted(extra)}")
         try:
             values["device_thresholds"] = DeviceThresholds(
-                low=float(dt["low"]), high=float(dt["high"])
+                low=float(_finite_number(dt["low"], "device_thresholds.low")),
+                high=float(_finite_number(dt["high"], "device_thresholds.high")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise BadConfig(f"bad device_thresholds: {exc}") from exc
@@ -114,7 +138,9 @@ def _config_from_dict(data: Mapping[str, Any]) -> EngineConfig:
         it = values["iou_thresholds"]
         if not isinstance(it, Mapping):
             raise BadConfig("iou_thresholds must be a mapping of class to threshold")
-        values["iou_thresholds"] = {str(k): float(v) for k, v in it.items()}
+        values["iou_thresholds"] = {
+            str(k): float(_finite_number(v, f"iou threshold for {k!r}")) for k, v in it.items()
+        }
     try:
         return EngineConfig(**values)
     except (TypeError, ValueError) as exc:

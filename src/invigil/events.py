@@ -3,8 +3,18 @@
 A session log is a line-delimited JSON stream: a header record, a
 reference-embeddings record, then timestamped sensor events (frame
 detections, face embeddings, one-second audio windows, frame image
-references). Parsing validates the stream into an immutable SessionLog;
-serialization is canonical so identical logs give identical bytes.
+references). Serialization is canonical so identical logs give
+identical bytes.
+
+Reading is one pass over the lines. `read_session_log` parses the header
+and references at once and then yields each event, decoded and validated,
+as its line is read, paired with the line's number in the file; nothing
+of a line is kept once the next one is read, so memory does not grow with
+the session. The first bad line stops the read and is the one reported.
+The frame-rate cap (`frame_rate_cap`) and audio-file loading
+(`resolve_audio`) also work one event at a time. `parse_session_log`,
+`resample_frames` and `resolve_audio_refs` are the same steps applied to
+a whole in-memory `SessionLog`.
 
 Timestamps are integer milliseconds since session start, strictly
 non-decreasing; ties keep file order so detections and embeddings can
@@ -14,12 +24,13 @@ share a frame.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -217,8 +228,10 @@ def _parse_payload(kind: EventKind, payload: Any, lineno: int) -> Payload:
         for item in items:
             if not isinstance(item, Mapping):
                 raise MalformedRecord(f"line {lineno}: detection must be an object")
-            label = str(_expect(item, "class", lineno)).lower()
-            label = LABEL_ALIASES.get(label, label)
+            label = _expect(item, "class", lineno)
+            if not isinstance(label, str):
+                raise MalformedRecord(f"line {lineno}: detection class must be a string, got {label!r}")
+            label = LABEL_ALIASES.get(label.lower(), label.lower())
             score = _as_number(_expect(item, "score", lineno), "score", lineno)
             box = _parse_box(_expect(item, "box", lineno), lineno)
             try:
@@ -256,68 +269,43 @@ def _parse_payload(kind: EventKind, payload: Any, lineno: int) -> Payload:
     raise MalformedRecord(f"line {lineno}: unhandled kind {kind}")
 
 
-def parse_session_log(stream: bytes | str | Iterable[bytes]) -> SessionLog:
-    """Parse and validate a line-delimited session log.
+@dataclass(frozen=True)
+class SessionStream:
+    """A session log opened for one pass: header and references read.
 
-    Accepts raw bytes, text, or an iterable of byte lines (an open
-    binary file). Raises MalformedRecord with the offending line number,
-    NonMonotonicTime when timestamps go backwards, and MissingReferences
-    when the reference-embeddings record is absent.
+    `events` yields (line number in the file, SensorEvent) pairs, each
+    record parsed and validated when its line is read. It can be
+    consumed once.
     """
-    if isinstance(stream, bytes):
-        text = stream.decode("utf-8")
-    elif isinstance(stream, str):
-        text = stream
-    else:
-        text = b"".join(stream).decode("utf-8")
-    # (line number in the file, text) of each non-blank line, so errors name file lines
-    lines = [(no, ln) for no, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
-    if not lines:
-        raise MissingReferences("empty log: no reference embeddings")
 
-    def record(index: int) -> tuple[int, Mapping]:
-        lineno, line = lines[index]
+    session_id: str
+    config: EngineConfig
+    reference_embeddings: ReferenceSet
+    events: Iterator[tuple[int, SensorEvent]]
+
+
+def _records(lines: Iterable[bytes | str]) -> Iterator[tuple[int, Mapping]]:
+    """(line number, JSON object) of each non-blank line, decoded one at a time."""
+    for lineno, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedRecord(f"line {lineno}: not valid UTF-8: {exc}") from exc
+        if not line or line.isspace():
+            continue
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(f"line {lineno}: not valid JSON: {exc}") from exc
         if not isinstance(rec, Mapping):
             raise MalformedRecord(f"line {lineno}: record must be a JSON object")
-        return lineno, rec
+        yield lineno, rec
 
-    lineno, header = record(0)
-    if header.get("kind") != "header":
-        raise MalformedRecord(
-            f"line {lineno}: first record must be the header, got kind {header.get('kind')!r}"
-        )
-    session_id = str(_expect(header, "session_id", lineno))
-    raw_config = header.get("config", {})
-    if not isinstance(raw_config, Mapping):
-        raise MalformedRecord(f"line {lineno}: config must be an object")
-    try:
-        config = config_from_dict(raw_config)
-    except BadConfig as exc:
-        raise MalformedRecord(f"line {lineno}: {exc}") from exc
 
-    if len(lines) < 2:
-        raise MissingReferences("log ends before the reference embeddings record")
-    lineno, refs_rec = record(1)
-    if refs_rec.get("kind") != "references":
-        raise MissingReferences(
-            f"second record must hold reference embeddings, got kind {refs_rec.get('kind')!r}"
-        )
-    rows = _expect(refs_rec, "embeddings", lineno)
-    if not isinstance(rows, list) or not rows:
-        raise MissingReferences("reference embeddings record is empty")
-    try:
-        references = ReferenceSet.from_lists(rows, expected_count=config.reference_count)
-    except (EngineError, TypeError, ValueError) as exc:
-        raise MalformedRecord(f"line {lineno}: {exc}") from exc
-
-    events: list[SensorEvent] = []
+def _events(records: Iterator[tuple[int, Mapping]]) -> Iterator[tuple[int, SensorEvent]]:
     last_t: int | None = None
-    for index in range(2, len(lines)):
-        lineno, rec = record(index)
+    for lineno, rec in records:
         t_ms = _as_int(_expect(rec, "t_ms", lineno), "t_ms", lineno)
         if t_ms < 0:
             raise MalformedRecord(f"line {lineno}: t_ms must be non-negative, got {t_ms}")
@@ -332,13 +320,72 @@ def parse_session_log(stream: bytes | str | Iterable[bytes]) -> SessionLog:
             )
         last_t = t_ms
         payload = _parse_payload(kind, _expect(rec, "payload", lineno), lineno)
-        events.append(SensorEvent(t_ms=t_ms, kind=kind, payload=payload))
+        yield lineno, SensorEvent(t_ms=t_ms, kind=kind, payload=payload)
 
+
+def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
+    """Open a line-delimited session log for one streaming pass.
+
+    `lines` is an iterable of byte or text lines (an open binary file).
+    The header and reference records are parsed here; events are parsed
+    and validated lazily as `SessionStream.events` is consumed. Raises
+    MalformedRecord with the offending line number, NonMonotonicTime
+    when timestamps go backwards, and MissingReferences when the
+    reference-embeddings record is absent.
+    """
+    records = _records(lines)
+    first = next(records, None)
+    if first is None:
+        raise MissingReferences("empty log: no reference embeddings")
+    lineno, header = first
+    if header.get("kind") != "header":
+        raise MalformedRecord(
+            f"line {lineno}: first record must be the header, got kind {header.get('kind')!r}"
+        )
+    session_id = str(_expect(header, "session_id", lineno))
+    raw_config = header.get("config", {})
+    if not isinstance(raw_config, Mapping):
+        raise MalformedRecord(f"line {lineno}: config must be an object")
+    try:
+        config = config_from_dict(raw_config)
+    except BadConfig as exc:
+        raise MalformedRecord(f"line {lineno}: {exc}") from exc
+
+    second = next(records, None)
+    if second is None:
+        raise MissingReferences("log ends before the reference embeddings record")
+    lineno, refs_rec = second
+    if refs_rec.get("kind") != "references":
+        raise MissingReferences(
+            f"second record must hold reference embeddings, got kind {refs_rec.get('kind')!r}"
+        )
+    rows = _expect(refs_rec, "embeddings", lineno)
+    if not isinstance(rows, list) or not rows:
+        raise MissingReferences("reference embeddings record is empty")
+    try:
+        references = ReferenceSet.from_lists(rows, expected_count=config.reference_count)
+    except (EngineError, TypeError, ValueError) as exc:
+        raise MalformedRecord(f"line {lineno}: {exc}") from exc
+    return SessionStream(session_id, config, references, _events(records))
+
+
+def parse_session_log(stream: bytes | str | Iterable[bytes]) -> SessionLog:
+    """Parse and validate a whole session log into memory.
+
+    Accepts raw bytes, text, or an iterable of byte lines (an open
+    binary file); reads through `read_session_log`, so it raises the
+    same errors.
+    """
+    if isinstance(stream, bytes):
+        stream = io.BytesIO(stream)
+    elif isinstance(stream, str):
+        stream = io.StringIO(stream, newline="\n")
+    log = read_session_log(stream)
     return SessionLog(
-        session_id=session_id,
-        config=config,
-        reference_embeddings=references,
-        events=tuple(events),
+        session_id=log.session_id,
+        config=log.config,
+        reference_embeddings=log.reference_embeddings,
+        events=tuple(ev for _, ev in log.events),
     )
 
 
@@ -403,30 +450,37 @@ def serialize_session_log(log: SessionLog) -> bytes:
 # Sampling policy
 
 
-def resample_frames(log: SessionLog, max_fps: float | None = None) -> SessionLog:
-    """Thin frame-kind events to at most one per 1000/max_fps ms bucket.
+def frame_rate_cap(max_fps: float) -> Callable[[SensorEvent], bool]:
+    """A predicate that keeps at most one frame-kind event per 1000/max_fps ms bucket.
 
-    The first event in each bucket is kept and buckets are tracked per
-    kind, so paired detection and image events survive together. Audio
-    windows and embeddings pass through untouched; order is preserved.
-    Idempotent.
+    It keeps the first event of each bucket, tracking buckets per kind so
+    paired detection and image events survive together. Audio windows
+    and embeddings always pass. Feed it events in log order.
     """
-    if max_fps is None:
-        max_fps = log.config.max_fps
     if max_fps <= 0:
         raise ValueError(f"max_fps must be positive, got {max_fps}")
-    seen: dict[EventKind, int] = {}
-    kept: list[SensorEvent] = []
-    for ev in log.events:
+    last_bucket: dict[EventKind, int] = {}
+
+    def keep(ev: SensorEvent) -> bool:
         if ev.kind not in FRAME_KINDS:
-            kept.append(ev)
-            continue
+            return True
         bucket = math.floor(ev.t_ms * max_fps / 1000.0)
-        if seen.get(ev.kind) == bucket:
-            continue
-        seen[ev.kind] = bucket
-        kept.append(ev)
-    return replace(log, events=tuple(kept))
+        if last_bucket.get(ev.kind) == bucket:
+            return False
+        last_bucket[ev.kind] = bucket
+        return True
+
+    return keep
+
+
+def resample_frames(log: SessionLog, max_fps: float | None = None) -> SessionLog:
+    """Thin the log's frame-kind events with `frame_rate_cap`.
+
+    Uses the log's own max_fps when none is given. Order is preserved.
+    Idempotent.
+    """
+    keep = frame_rate_cap(log.config.max_fps if max_fps is None else max_fps)
+    return replace(log, events=tuple(ev for ev in log.events if keep(ev)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +508,8 @@ def load_audio_samples(payload: AudioWindowPayload, base_dir: str | Path = ".") 
             raise AudioIntegrityError(
                 f"audio file {path} hash mismatch: expected {payload.sha256}, got {digest}"
             )
+    if len(raw) % 2:
+        raise AudioIntegrityError(f"audio file {path} holds {len(raw)} bytes, not whole 16-bit samples")
     samples = pcm_samples(raw)
     if samples.shape[0] != payload.sample_rate:
         raise AudioIntegrityError(
@@ -462,16 +518,17 @@ def load_audio_samples(payload: AudioWindowPayload, base_dir: str | Path = ".") 
     return samples
 
 
+def resolve_audio(ev: SensorEvent, base_dir: str | Path) -> SensorEvent:
+    """The event with a file-referenced audio window loaded inline; any other event as is."""
+    if ev.kind is not EventKind.AUDIO_WINDOW or ev.payload.inline:
+        return ev
+    samples = load_audio_samples(ev.payload, base_dir)
+    return replace(ev, payload=AudioWindowPayload(sample_rate=ev.payload.sample_rate, samples=samples))
+
+
 def resolve_audio_refs(log: SessionLog, base_dir: str | Path) -> SessionLog:
     """Materialise all file-referenced audio windows as inline samples."""
-    events = []
-    for ev in log.events:
-        if ev.kind is EventKind.AUDIO_WINDOW and not ev.payload.inline:
-            samples = load_audio_samples(ev.payload, base_dir)
-            payload = AudioWindowPayload(sample_rate=ev.payload.sample_rate, samples=samples)
-            ev = replace(ev, payload=payload)
-        events.append(ev)
-    return replace(log, events=tuple(events))
+    return replace(log, events=tuple(resolve_audio(ev, base_dir) for ev in log.events))
 
 
 def pcm_bytes(samples: np.ndarray) -> bytes:

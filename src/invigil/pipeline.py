@@ -13,6 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable
 
 from .audio.dsp import PcmWindow, stft_spectrogram
 from .audio.model import VoiceModel, band_contrast_model, classify_window
@@ -387,26 +388,50 @@ def finalize_report(
     return SessionReport(session_id=session_id, final_label=label, flags=flags)
 
 
+def replay_events(
+    references: ReferenceSet,
+    session_id: str,
+    events: Iterable[tuple[int, SensorEvent]],
+    cfg: EngineConfig,
+    voice_model: VoiceModel | None = None,
+    unit: str = "line",
+) -> SessionReport:
+    """Fold `step` over numbered events and return the session's report.
+
+    The events are replayed as given, one at a time, and none is kept.
+    An EngineError raised by an event is re-raised with `unit` and that
+    event's number in front, so errors during the replay of a log file
+    name its line. Audio windows go through the built-in band-contrast
+    classifier when no voice model is given.
+    """
+    if voice_model is None:
+        voice_model = band_contrast_model()
+    state = PipelineState.initial(references)
+    for number, ev in events:
+        try:
+            step(state, ev, cfg, voice_model)
+        except EngineError as exc:
+            raise type(exc)(f"{unit} {number}: {exc}") from exc
+    return finalize_report(state, session_id, cfg)
+
+
 def run_session(
     log: SessionLog,
     cfg: EngineConfig | None = None,
     voice_model: VoiceModel | None = None,
 ) -> SessionReport:
-    """Replay one full session log and return its report.
+    """Replay one full in-memory session log and return its report.
 
-    Uses the log's embedded config when none is given, and the built-in
-    band-contrast classifier for audio windows when no voice model is
-    given, as `analyze` does. The log is replayed as-is; apply
-    resample_frames first when the source may exceed the frame-rate cap.
+    Uses the log's embedded config when none is given and the same voice
+    classifier default as `analyze`. The log is replayed as-is, and
+    errors name the event's index in it; apply resample_frames first when
+    the source may exceed the frame-rate cap.
     """
-    if cfg is None:
-        cfg = log.config
-    if voice_model is None:
-        voice_model = band_contrast_model()
-    state = PipelineState.initial(log.reference_embeddings)
-    for index, ev in enumerate(log.events):
-        try:
-            step(state, ev, cfg, voice_model)
-        except EngineError as exc:
-            raise type(exc)(f"event {index}: {exc}") from exc
-    return finalize_report(state, log.session_id, cfg)
+    return replay_events(
+        log.reference_embeddings,
+        log.session_id,
+        enumerate(log.events),
+        log.config if cfg is None else cfg,
+        voice_model,
+        unit="event",
+    )

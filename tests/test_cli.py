@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from invigil import cli
 from invigil.audio.model import load_model
-from invigil.events import pcm_bytes, serialize_session_log
+from invigil.events import AudioWindowPayload, EventKind, SensorEvent, pcm_bytes, serialize_session_log
 from invigil.pipeline import report_to_json, run_session
 from invigil.simulator import (
     Episode,
@@ -20,6 +25,8 @@ from invigil.simulator import (
     save_scenario_file,
     synth_audio,
 )
+
+from conftest import frame_event, make_log
 
 
 def run_cli(*argv: str, cwd=None) -> subprocess.CompletedProcess:
@@ -215,6 +222,70 @@ def test_library_and_analyze_give_the_same_report(tmp_path):
     library = report_to_json(run_session(log))
     assert b"VoiceDetection" in library
     assert library == out.read_bytes()
+
+
+def _write_lines(path: Path, log, edit) -> None:
+    lines = serialize_session_log(log).decode().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "payload, error, message",
+    [
+        # replay: the band model cannot take an 8 kHz window
+        (AudioWindowPayload(sample_rate=8000, samples=np.zeros(8000)), "ShapeMismatch", "spectrogram shape"),
+        (AudioWindowPayload(sample_rate=16000, path="w.pcm"), "AudioIntegrityError", "cannot read audio file"),
+    ],
+)
+def test_analyze_event_errors_name_file_line(identity, tmp_path, payload, error, message):
+    _, refs = identity
+    bad = SensorEvent(t_ms=500, kind=EventKind.AUDIO_WINDOW, payload=payload)
+    log = make_log([frame_event(0), frame_event(400), bad, frame_event(900)], refs)
+    _write_lines(tmp_path / "session.jsonl", log, lambda lines: lines.insert(2, ""))
+    proc = run_cli("analyze", "--log", str(tmp_path / "session.jsonl"), "--out", str(tmp_path / "r.json"))
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr.strip())
+    assert err["error"] == error
+    # the bad window is the third event and sits on file line 6, after a blank line
+    assert err["message"].startswith(f"line 6: {message}")
+
+
+def test_analyze_validates_frames_the_rate_cap_drops(identity, tmp_path):
+    _, refs = identity
+    log = make_log([frame_event(0), frame_event(100), frame_event(400)], refs)
+
+    def break_second_frame(lines):
+        rec = json.loads(lines[3])
+        del rec["payload"]["detections"][0]["box"]["w"]
+        lines[3] = json.dumps(rec)
+
+    _write_lines(tmp_path / "session.jsonl", log, break_second_frame)
+    proc = run_cli("analyze", "--log", str(tmp_path / "session.jsonl"), "--out", str(tmp_path / "r.json"))
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr.strip())
+    assert err["error"] == "MalformedRecord"
+    assert err["message"] == "line 4: missing key 'w'"
+
+
+def test_analyze_peak_memory_does_not_grow_with_session_length(tmp_path):
+    peaks = []
+    for duration_ms in (60_000, 120_000):
+        log, _ = generate_session(dataclasses.replace(random_scenario(3), duration_ms=duration_ms))
+        path = tmp_path / f"session{duration_ms}.jsonl"
+        path.write_bytes(serialize_session_log(log))
+        del log
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.run_cli(["analyze", "--log", str(path), "--out", str(tmp_path / "r.json")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    short, long = peaks
+    assert long < 1.25 * short, peaks
+    assert long < 8 * 2**20, peaks
 
 
 def test_bench_tracer_patches_resolve():

@@ -23,6 +23,7 @@ from invigil.events import (
     parse_session_log,
     pcm_bytes,
     pcm_samples,
+    read_session_log,
     resample_frames,
     resolve_audio_refs,
     serialize_session_log,
@@ -120,6 +121,54 @@ def test_non_finite_inline_audio_rejected(identity, bad):
     lines[3] = lines[3].replace("[0.0,", f"[{bad},", 1)
     with pytest.raises(MalformedRecord, match="line 4: audio samples must be finite"):
         parse_session_log("\n".join(lines))
+
+
+def test_invalid_utf8_names_line(small_log):
+    lines = serialize_session_log(small_log).splitlines(keepends=True)
+    lines[3] = lines[3].replace(b'"kind"', b'"k\xffind"', 1)
+    with pytest.raises(MalformedRecord, match="line 4: not valid UTF-8"):
+        parse_session_log(b"".join(lines))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("face_threshold", float("nan"), "face_threshold must be a finite number"),
+        ("absence_long_ms", 10000.5, "absence_long_ms must be an integer"),
+        ("max_fps", float("inf"), "max_fps must be a finite number"),
+        ("voice_threshold", True, "voice_threshold must be a finite number"),
+        ("reference_count", 20.0, "reference_count must be an integer"),
+    ],
+)
+def test_header_config_types_and_finiteness(small_log, key, value, message):
+    lines = serialize_session_log(small_log).decode().splitlines()
+    header = json.loads(lines[0])
+    header["config"][key] = value
+    lines[0] = json.dumps(header)
+    with pytest.raises(MalformedRecord, match=f"line 1: {message}"):
+        parse_session_log("\n".join(lines))
+
+
+def test_detection_class_must_be_a_string(small_log):
+    lines = serialize_session_log(small_log).decode().splitlines()
+    rec = json.loads(lines[3])
+    rec["payload"]["detections"][1]["class"] = None
+    lines[3] = json.dumps(rec)
+    with pytest.raises(MalformedRecord, match="line 4: detection class must be a string"):
+        parse_session_log("\n".join(lines))
+
+
+def test_read_session_log_yields_events_as_lines_are_read(small_log):
+    lines = serialize_session_log(small_log).decode().splitlines()
+    lines = lines[:3] + [""] + lines[3:5] + ["{not json"]
+    log = read_session_log(line.encode() + b"\n" for line in lines)
+    # header and references are read at once; events wait for the caller
+    assert log.session_id == small_log.session_id
+    assert log.config == small_log.config
+    events = iter(log.events)
+    assert [next(events)[0] for _ in range(3)] == [3, 5, 6]
+    with pytest.raises(MalformedRecord, match="line 7"):
+        next(events)
 
 
 def test_unknown_event_kind_rejected(small_log):
@@ -262,6 +311,15 @@ def test_load_audio_checks_hash_and_length(tmp_path):
     missing = AudioWindowPayload(sample_rate=16000, path="absent.pcm")
     with pytest.raises(AudioIntegrityError, match="absent.pcm"):
         load_audio_samples(missing, tmp_path)
+
+
+def test_odd_length_pcm_file_rejected(tmp_path):
+    raw = pcm_bytes(np.zeros(16000)) + b"\x00"
+    (tmp_path / "w.pcm").write_bytes(raw)
+    for sha in (None, hashlib.sha256(raw).hexdigest()):
+        payload = AudioWindowPayload(sample_rate=16000, path="w.pcm", sha256=sha)
+        with pytest.raises(AudioIntegrityError, match="w.pcm holds 32001 bytes"):
+            load_audio_samples(payload, tmp_path)
 
 
 def test_resolve_audio_refs_materializes(tmp_path, identity):
