@@ -18,7 +18,11 @@ a whole in-memory `SessionLog`.
 
 Timestamps are integer milliseconds since session start, strictly
 non-decreasing; ties keep file order so detections and embeddings can
-share a frame.
+share a frame. Order is checked where events enter the engine, and only
+there: the reader checks each line before the frame-rate cap sees it
+(the cap can drop an out-of-order frame that falls in the same bucket),
+and `SessionLog` checks logs built in memory. The replay fold in
+`pipeline` assumes order and does not check it again.
 """
 
 from __future__ import annotations
@@ -203,6 +207,12 @@ def _as_number(value: Any, what: str, lineno: int) -> float:
     return float(value)
 
 
+def _as_str(value: Any, what: str, lineno: int) -> str:
+    if not isinstance(value, str):
+        raise MalformedRecord(f"line {lineno}: {what} must be a string, got {value!r}")
+    return value
+
+
 def _parse_box(rec: Any, lineno: int) -> BoundingBox:
     if not isinstance(rec, Mapping):
         raise MalformedRecord(f"line {lineno}: box must be an object")
@@ -228,10 +238,8 @@ def _parse_payload(kind: EventKind, payload: Any, lineno: int) -> Payload:
         for item in items:
             if not isinstance(item, Mapping):
                 raise MalformedRecord(f"line {lineno}: detection must be an object")
-            label = _expect(item, "class", lineno)
-            if not isinstance(label, str):
-                raise MalformedRecord(f"line {lineno}: detection class must be a string, got {label!r}")
-            label = LABEL_ALIASES.get(label.lower(), label.lower())
+            label = _as_str(_expect(item, "class", lineno), "detection class", lineno).lower()
+            label = LABEL_ALIASES.get(label, label)
             score = _as_number(_expect(item, "score", lineno), "score", lineno)
             box = _parse_box(_expect(item, "box", lineno), lineno)
             try:
@@ -260,12 +268,14 @@ def _parse_payload(kind: EventKind, payload: Any, lineno: int) -> Payload:
             if path is None:
                 raise ValueError("audio window needs samples or a path")
             return AudioWindowPayload(
-                sample_rate=rate, path=str(path), sha256=None if sha is None else str(sha)
+                sample_rate=rate,
+                path=_as_str(path, "audio path", lineno),
+                sha256=None if sha is None else _as_str(sha, "audio sha256", lineno),
             )
         except (TypeError, ValueError) as exc:
             raise MalformedRecord(f"line {lineno}: {exc}") from exc
     if kind is EventKind.FRAME_IMAGE:
-        return FrameImageRef(path=str(_expect(payload, "path", lineno)))
+        return FrameImageRef(path=_as_str(_expect(payload, "path", lineno), "image path", lineno))
     raise MalformedRecord(f"line {lineno}: unhandled kind {kind}")
 
 
@@ -342,7 +352,7 @@ def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
         raise MalformedRecord(
             f"line {lineno}: first record must be the header, got kind {header.get('kind')!r}"
         )
-    session_id = str(_expect(header, "session_id", lineno))
+    session_id = _as_str(_expect(header, "session_id", lineno), "session_id", lineno)
     raw_config = header.get("config", {})
     if not isinstance(raw_config, Mapping):
         raise MalformedRecord(f"line {lineno}: config must be an object")

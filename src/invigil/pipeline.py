@@ -32,14 +32,6 @@ from .facematch import ReferenceSet, Verdict, classify_identity
 from .objectgate import DEVICE_CLASSES, DeviceVerdict, gate_device_score, person_count
 
 
-class OutOfOrderEvent(EngineError):
-    """An event timestamp went backwards during replay."""
-
-
-class UnknownEventKind(EngineError):
-    """The state machine has no rule for this event kind."""
-
-
 class FlagKind(str, Enum):
     ANOTHER_PERSON = "AnotherPerson"
     PHONE_DETECTION = "PhoneDetection"
@@ -150,21 +142,13 @@ class PipelineState:
     def initial(cls, references: ReferenceSet) -> "PipelineState":
         return cls(references=references)
 
-    def open_clip_windows(self, now_ms: int) -> list[EvidenceClipRequest]:
-        """Clip requests still recording at `now_ms`."""
-        return [
-            f.clip_request
-            for f in self.flags
-            if f.clip_request is not None
-            and f.clip_request.start_t_ms <= now_ms < f.clip_request.start_t_ms + f.clip_request.duration_ms
-        ]
 
-
-def _clip(t_ms: int, kind: FlagKind, cfg: EngineConfig) -> EvidenceClipRequest:
-    return EvidenceClipRequest(start_t_ms=t_ms, duration_ms=cfg.evidence_clip_ms, flag_kind=kind)
-
-
-def _emit(state: PipelineState, flag: FlagEvent) -> FlagEvent:
+def _flag(
+    state: PipelineState, kind: FlagKind, t_ms: int, cfg: EngineConfig, **detail
+) -> FlagEvent:
+    """Record a flag of `kind` at `t_ms` with its evidence-clip request starting then."""
+    clip = EvidenceClipRequest(start_t_ms=t_ms, duration_ms=cfg.evidence_clip_ms, flag_kind=kind)
+    flag = FlagEvent(kind=kind, t_ms=t_ms, clip_request=clip, **detail)
     state.flags.append(flag)
     return flag
 
@@ -173,17 +157,7 @@ def _close_absence(state: PipelineState, t_ms: int, cfg: EngineConfig, new: list
     duration = t_ms - state.absence_since_ms
     state.absence_since_ms = None
     if duration > cfg.absence_long_ms:
-        new.append(
-            _emit(
-                state,
-                FlagEvent(
-                    kind=FlagKind.CANDIDATE_ABSENCE,
-                    t_ms=t_ms,
-                    duration_ms=duration,
-                    clip_request=_clip(t_ms, FlagKind.CANDIDATE_ABSENCE, cfg),
-                ),
-            )
-        )
+        new.append(_flag(state, FlagKind.CANDIDATE_ABSENCE, t_ms, cfg, duration_ms=duration))
     elif duration > cfg.absence_recheck_min_ms:
         state.pending_identity_recheck = True
     if cfg.recheck_on_any_return:
@@ -212,17 +186,7 @@ def _step_frame(
     if persons >= 2:
         if not state.in_multi_person:
             state.in_multi_person = True
-            new.append(
-                _emit(
-                    state,
-                    FlagEvent(
-                        kind=FlagKind.MULTIPLE_PERSONS,
-                        t_ms=ev.t_ms,
-                        person_count=persons,
-                        clip_request=_clip(ev.t_ms, FlagKind.MULTIPLE_PERSONS, cfg),
-                    ),
-                )
-            )
+            new.append(_flag(state, FlagKind.MULTIPLE_PERSONS, ev.t_ms, cfg, person_count=persons))
     else:
         state.in_multi_person = False
 
@@ -244,17 +208,7 @@ def _step_frame(
         state.device_flag_index = None
     elif state.device_flag_index is None:
         state.device_flag_index = len(state.flags)
-        new.append(
-            _emit(
-                state,
-                FlagEvent(
-                    kind=_DEVICE_FLAG_KINDS[verdict],
-                    t_ms=ev.t_ms,
-                    score=best_score,
-                    clip_request=_clip(ev.t_ms, _DEVICE_FLAG_KINDS[verdict], cfg),
-                ),
-            )
-        )
+        new.append(_flag(state, _DEVICE_FLAG_KINDS[verdict], ev.t_ms, cfg, score=best_score))
     else:
         open_flag = state.flags[state.device_flag_index]
         if best_score > open_flag.score:
@@ -279,17 +233,7 @@ def _step_embedding(
     decision = classify_identity(payload.embedding, state.references, cfg.face_threshold)
     if decision.verdict is Verdict.CLEAN:
         return []
-    return [
-        _emit(
-            state,
-            FlagEvent(
-                kind=FlagKind.ANOTHER_PERSON,
-                t_ms=ev.t_ms,
-                distance=decision.min_distance,
-                clip_request=_clip(ev.t_ms, FlagKind.ANOTHER_PERSON, cfg),
-            ),
-        )
-    ]
+    return [_flag(state, FlagKind.ANOTHER_PERSON, ev.t_ms, cfg, distance=decision.min_distance)]
 
 
 def _step_audio(
@@ -314,17 +258,7 @@ def _step_audio(
     if state.in_voice_run:
         return []
     state.in_voice_run = True
-    return [
-        _emit(
-            state,
-            FlagEvent(
-                kind=FlagKind.VOICE_DETECTION,
-                t_ms=ev.t_ms,
-                score=prob,
-                clip_request=_clip(ev.t_ms, FlagKind.VOICE_DETECTION, cfg),
-            ),
-        )
-    ]
+    return [_flag(state, FlagKind.VOICE_DETECTION, ev.t_ms, cfg, score=prob)]
 
 
 def step(
@@ -336,52 +270,37 @@ def step(
     """Advance the state machine by one event.
 
     Mutates and returns the same state object together with the flags
-    this event emitted. Events must arrive in non-decreasing t_ms.
+    this event emitted. Events must arrive in non-decreasing t_ms; the
+    fold does not check this. Order is checked where events enter the
+    engine: by the log parser (before the frame-rate cap, which could
+    drop an out-of-order frame) and by `SessionLog` for in-memory logs.
     """
-    if state.last_event_t_ms is not None and ev.t_ms < state.last_event_t_ms:
-        raise OutOfOrderEvent(
-            f"event at t={ev.t_ms} after t={state.last_event_t_ms}"
-        )
     if ev.kind is EventKind.FRAME_DETECTIONS:
         new = _step_frame(state, ev, ev.payload, cfg)
     elif ev.kind is EventKind.FACE_EMBEDDING:
         new = _step_embedding(state, ev, ev.payload, cfg)
     elif ev.kind is EventKind.AUDIO_WINDOW:
         new = _step_audio(state, ev, ev.payload, cfg, voice_model)
-    elif ev.kind is EventKind.FRAME_IMAGE:
-        new = []  # evidence imagery only; no rule reads it
     else:
-        raise UnknownEventKind(f"no rule for event kind {ev.kind!r}")
+        new = []  # FrameImage: evidence imagery only; no rule reads it
     state.last_event_t_ms = ev.t_ms
     return state, new
 
 
-def finalize_report(
-    state: PipelineState, session_id: str, cfg: EngineConfig | None = None
-) -> SessionReport:
+def finalize_report(state: PipelineState, session_id: str, cfg: EngineConfig) -> SessionReport:
     """Close the session: settle any open absence episode, sort, label.
 
-    With a config, an absence still open at the last event time emits
-    CandidateAbsence if its observed duration already exceeds the long
-    threshold. Suspect iff at least one flag exists.
+    An absence still open at the last event time emits CandidateAbsence
+    if its observed duration already exceeds the long threshold. The
+    last event time is the one `step` recorded; like `step`, this trusts
+    the events to have arrived in order. Suspect iff at least one flag
+    exists.
     """
-    if (
-        cfg is not None
-        and state.absence_since_ms is not None
-        and state.last_event_t_ms is not None
-    ):
-        duration = state.last_event_t_ms - state.absence_since_ms
+    if state.absence_since_ms is not None:
+        t = state.last_event_t_ms
+        duration = t - state.absence_since_ms
         if duration > cfg.absence_long_ms:
-            t = state.last_event_t_ms
-            _emit(
-                state,
-                FlagEvent(
-                    kind=FlagKind.CANDIDATE_ABSENCE,
-                    t_ms=t,
-                    duration_ms=duration,
-                    clip_request=_clip(t, FlagKind.CANDIDATE_ABSENCE, cfg),
-                ),
-            )
+            _flag(state, FlagKind.CANDIDATE_ABSENCE, t, cfg, duration_ms=duration)
             state.absence_since_ms = None
     flags = tuple(sorted(state.flags, key=lambda f: f.t_ms))
     label = SessionLabel.SUSPECT if flags else SessionLabel.CLEAN

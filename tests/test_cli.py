@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import subprocess
@@ -11,10 +12,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invigil import cli
 from invigil.audio.model import load_model
-from invigil.events import AudioWindowPayload, EventKind, SensorEvent, pcm_bytes, serialize_session_log
+from invigil.config import EngineConfig
+from invigil.errors import EngineError
+from invigil.events import (
+    AudioWindowPayload,
+    EventKind,
+    FaceEmbeddingPayload,
+    FrameImageRef,
+    SensorEvent,
+    pcm_bytes,
+    serialize_session_log,
+)
 from invigil.pipeline import report_to_json, run_session
 from invigil.simulator import (
     Episode,
@@ -26,7 +39,7 @@ from invigil.simulator import (
     synth_audio,
 )
 
-from conftest import frame_event, make_log
+from conftest import frame_event, make_log, make_reference_set
 
 
 def run_cli(*argv: str, cwd=None) -> subprocess.CompletedProcess:
@@ -266,6 +279,131 @@ def test_analyze_validates_frames_the_rate_cap_drops(identity, tmp_path):
     err = json.loads(proc.stderr.strip())
     assert err["error"] == "MalformedRecord"
     assert err["message"] == "line 4: missing key 'w'"
+
+
+def test_analyze_checks_order_before_the_rate_cap(identity, tmp_path):
+    # At 3 fps, t=1010 and t=1005 share bucket 3, so the cap drops the
+    # second frame: only a check ahead of the cap can see it go backwards.
+    _, refs = identity
+    log = make_log([frame_event(1005), frame_event(1010)], refs)
+    assert log.config.max_fps == 3.0
+
+    def swap_times(lines):
+        first, second = json.loads(lines[2]), json.loads(lines[3])
+        first["t_ms"], second["t_ms"] = 1010, 1005
+        lines[2], lines[3] = json.dumps(first), json.dumps(second)
+
+    _write_lines(tmp_path / "session.jsonl", log, swap_times)
+    proc = run_cli("analyze", "--log", str(tmp_path / "session.jsonl"), "--out", str(tmp_path / "r.json"))
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr.strip())
+    assert err["error"] == "NonMonotonicTime"
+    assert err["message"].startswith("line 4:")
+
+
+def _engine_error_names() -> set[str]:
+    names, todo = set(), [EngineError]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return names
+
+
+@pytest.fixture(scope="module")
+def fuzz_fixture(tmp_path_factory):
+    """A short valid log (every event kind, a PCM side file) as a list of byte lines."""
+    root = tmp_path_factory.mktemp("fuzz")
+    _, refs = make_reference_set(np.random.default_rng(0xF2), count=3)
+    raw = pcm_bytes(synth_audio("voiced", 5).samples)
+    (root / "w.pcm").write_bytes(raw)
+    audio = AudioWindowPayload(sample_rate=16000, path="w.pcm", sha256=hashlib.sha256(raw).hexdigest())
+    events = [
+        frame_event(0),
+        frame_event(400, devices=(("phone", 0.8),)),
+        SensorEvent(t_ms=500, kind=EventKind.FACE_EMBEDDING, payload=FaceEmbeddingPayload(refs.references[0])),
+        SensorEvent(t_ms=1000, kind=EventKind.AUDIO_WINDOW, payload=audio),
+        frame_event(1200, persons=2),
+        SensorEvent(t_ms=1300, kind=EventKind.FRAME_IMAGE, payload=FrameImageRef(path="f.ppm")),
+        frame_event(1700, persons=0),
+    ]
+    log = make_log(events, refs, cfg=EngineConfig(reference_count=3))
+    return root, serialize_session_log(log).splitlines()
+
+
+def _json_slots(node):
+    """(container, key) of every object member and of the first item of every list."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield node, key
+            yield from _json_slots(value)
+    elif isinstance(node, list) and node:
+        yield node, 0
+        yield from _json_slots(node[0])
+
+
+_FUZZ_VALUES = st.sampled_from([None, "x", -1, -0.5, float("nan"), {"a": 1}])
+
+
+@st.composite
+def _mutated_log(draw, lines):
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["swap_t", "delete", "set", "truncate", "bad_utf8"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+            continue
+        if op == "bad_utf8":
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + draw(st.sampled_from([b"\xff", b"\xc3\x28", b"\xe2\x82"])) + lines[i][at:]
+            continue
+        try:
+            records = [json.loads(line) for line in lines]
+        except ValueError:
+            continue  # an earlier mutation broke the JSON; the record-level ones need it whole
+        if op == "swap_t":
+            j = draw(st.integers(2, len(lines) - 1))
+            i = max(i, 2)
+            if not all(isinstance(records[k], dict) and "t_ms" in records[k] for k in (i, j)):
+                continue
+            records[i]["t_ms"], records[j]["t_ms"] = records[j]["t_ms"], records[i]["t_ms"]
+            lines[i], lines[j] = json.dumps(records[i]).encode(), json.dumps(records[j]).encode()
+            continue
+        slots = [(c, k) for c, k in _json_slots(records[i]) if op == "set" or isinstance(c, dict)]
+        if not slots:
+            continue
+        container, key = draw(st.sampled_from(slots))
+        if op == "delete":
+            del container[key]
+        else:
+            container[key] = draw(_FUZZ_VALUES)
+        lines[i] = json.dumps(records[i]).encode()
+    return b"\n".join(lines) + b"\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_analyze_fuzzed_records_give_a_report_or_an_engine_error(fuzz_fixture, data):
+    root, lines = fuzz_fixture
+    log_path, out = root / "session.jsonl", root / "report.json"
+    log_path.write_bytes(data.draw(_mutated_log(lines)))
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run_cli(["analyze", "--log", str(log_path), "--out", str(out)])
+    if code == 0:
+        assert stderr.getvalue() == ""
+        json.loads(out.read_bytes(), parse_constant=_reject_constant)
+    else:
+        assert code == 1
+        records = stderr.getvalue().splitlines()
+        assert len(records) == 1
+        assert json.loads(records[0])["error"] in _engine_error_names()
 
 
 def test_analyze_peak_memory_does_not_grow_with_session_length(tmp_path):

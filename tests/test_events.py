@@ -158,6 +158,31 @@ def test_detection_class_must_be_a_string(small_log):
         parse_session_log("\n".join(lines))
 
 
+@pytest.mark.parametrize(
+    "kind, field, value, lineno, message",
+    [
+        ("header", "session_id", None, 1, "session_id must be a string"),
+        ("header", "session_id", {"a": 1}, 1, "session_id must be a string"),
+        ("FrameImage", "path", None, 7, "image path must be a string"),
+        ("FrameImage", "path", 5, 7, "image path must be a string"),
+        ("AudioWindow", "path", ["w.pcm"], 7, "audio path must be a string"),
+        ("AudioWindow", "sha256", 5, 7, "audio sha256 must be a string"),
+    ],
+)
+def test_identifiers_must_be_strings(small_log, kind, field, value, lineno, message):
+    lines = serialize_session_log(small_log).decode().splitlines()
+    if kind == "header":
+        header = json.loads(lines[0])
+        header[field] = value
+        lines[0] = json.dumps(header)
+    else:
+        payload = {"path": "evidence/f.ppm"} if kind == "FrameImage" else {"path": "w.pcm"}
+        payload[field] = value
+        lines.append(json.dumps({"t_ms": 800, "kind": kind, "payload": payload}))
+    with pytest.raises(MalformedRecord, match=f"line {lineno}: {message}"):
+        parse_session_log("\n".join(lines))
+
+
 def test_read_session_log_yields_events_as_lines_are_read(small_log):
     lines = serialize_session_log(small_log).decode().splitlines()
     lines = lines[:3] + [""] + lines[3:5] + ["{not json"]
