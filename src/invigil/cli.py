@@ -79,7 +79,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         overrides, _ = _load_cfg_overrides(args.config)
         cfg = log.config.merged(overrides)
         model = None if args.voice_model is None else load_model(args.voice_model)
-        _print_effective(cfg, None)
+        _print_effective(cfg, None, {"references": len(log.reference_embeddings)})
         events = _capped_resolved(log.events, cfg.max_fps, base_dir)
         report = replay_events(log.reference_embeddings, log.session_id, events, cfg, model)
     Path(args.out).write_bytes(report_to_json(report))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -20,6 +21,20 @@ from .objectgate import DEFAULT_IOU_THRESHOLDS, DeviceThresholds
 
 class BadConfig(EngineError):
     """A config file or embedded config snapshot violates the schema."""
+
+
+def _float64_int(text: str) -> int:
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"integer with {len(text)} digits is beyond the float64 range")
+    return value
+
+
+# Every number the engine reads ends up a float64, so JSON input is decoded
+# with integers beyond that range turned away as a ValueError, like invalid
+# JSON, rather than left to overflow in a later float(). Nesting past the
+# recursion limit raises RecursionError; callers catch both.
+decode_json = json.JSONDecoder(parse_int=_float64_int).decode
 
 
 def _finite_number(value: Any, name: str) -> Any:
@@ -161,8 +176,8 @@ def load_config_file(path: str | Path) -> dict[str, Any]:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
+            data = decode_json(fh.read())
+    except (ValueError, RecursionError) as exc:
         raise BadConfig(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise BadConfig(f"{path}: config file must hold a JSON object")

@@ -16,6 +16,15 @@ The frame-rate cap (`frame_rate_cap`) and audio-file loading
 `resample_frames` and `resolve_audio_refs` are the same steps applied to
 a whole in-memory `SessionLog`.
 
+Each field is checked once, by the type it builds: `SensorEvent` checks
+the timestamp and the payload type, `AudioWindowPayload` the 16 kHz rate
+and the samples, `Embedding` and `ReferenceSet` shape and finiteness,
+`BoundingBox` and `Detection` the extent and score. The parser only adds
+what JSON needs on top (present keys, and JSON types where a constructor
+would coerce a bool, float or string) and re-raises whatever building a
+record raises as a `MalformedRecord` that names the line. The decoder
+turns away integers beyond the float64 range and over-deep nesting.
+
 Timestamps are integer milliseconds since session start, strictly
 non-decreasing; ties keep file order so detections and embeddings can
 share a frame. Order is checked where events enter the engine, and only
@@ -34,14 +43,14 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Union
+from typing import Any, Callable, Iterable, Iterator, Union
 
 import numpy as np
 
-from .config import BadConfig, EngineConfig, config_from_dict
+from .config import EngineConfig, config_from_dict, decode_json
 from .errors import EngineError
 from .facematch import Embedding, ReferenceSet
-from .objectgate import BoundingBox, Detection, InvalidScore
+from .objectgate import BoundingBox, Detection
 
 DEFAULT_SAMPLE_RATE = 16_000
 
@@ -88,7 +97,7 @@ class FaceEmbeddingPayload:
 
 @dataclass(frozen=True, eq=False)
 class AudioWindowPayload:
-    """Exactly one second of mono PCM, inline or by file reference.
+    """Exactly one second of mono 16 kHz PCM, inline or by file reference.
 
     Inline samples are validated to sample_rate entries at construction.
     File references carry a sha256 over the raw PCM bytes and are
@@ -101,8 +110,11 @@ class AudioWindowPayload:
     sha256: str | None = None
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if self.sample_rate != DEFAULT_SAMPLE_RATE:
+            raise ValueError(
+                f"sample_rate must be {DEFAULT_SAMPLE_RATE} Hz, the rate every voice model takes; "
+                f"got {self.sample_rate}"
+            )
         if (self.samples is None) == (self.path is None):
             raise ValueError("audio window needs exactly one of inline samples or a path")
         if self.samples is not None:
@@ -189,94 +201,82 @@ class SessionLog:
 # Parsing
 
 
-def _expect(record: Mapping, key: str, lineno: int) -> Any:
+def _expect(record: dict, key: str) -> Any:
     if key not in record:
-        raise MalformedRecord(f"line {lineno}: missing key {key!r}")
+        raise MalformedRecord(f"missing key {key!r}")
     return record[key]
 
 
-def _as_int(value: Any, what: str, lineno: int) -> int:
+# These three checks stay in the parser because the value types would
+# silently coerce what they reject: a bool or a float to an int, a bool or
+# a numeric string to a float, any object to a string.
+
+
+def _as_int(value: Any, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedRecord(f"line {lineno}: {what} must be an integer, got {value!r}")
+        raise MalformedRecord(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _as_number(value: Any, what: str, lineno: int) -> float:
+def _as_number(value: Any, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedRecord(f"line {lineno}: {what} must be a number, got {value!r}")
+        raise MalformedRecord(f"{what} must be a number, got {value!r}")
     return float(value)
 
 
-def _as_str(value: Any, what: str, lineno: int) -> str:
+def _as_str(value: Any, what: str) -> str:
     if not isinstance(value, str):
-        raise MalformedRecord(f"line {lineno}: {what} must be a string, got {value!r}")
+        raise MalformedRecord(f"{what} must be a string, got {value!r}")
     return value
 
 
-def _parse_box(rec: Any, lineno: int) -> BoundingBox:
-    if not isinstance(rec, Mapping):
-        raise MalformedRecord(f"line {lineno}: box must be an object")
-    try:
-        return BoundingBox(
-            x=_as_number(_expect(rec, "x", lineno), "box.x", lineno),
-            y=_as_number(_expect(rec, "y", lineno), "box.y", lineno),
-            w=_as_number(_expect(rec, "w", lineno), "box.w", lineno),
-            h=_as_number(_expect(rec, "h", lineno), "box.h", lineno),
-        )
-    except ValueError as exc:
-        raise MalformedRecord(f"line {lineno}: {exc}") from exc
+def _as_object(value: Any, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedRecord(f"{what} must be an object")
+    return value
 
 
-def _parse_payload(kind: EventKind, payload: Any, lineno: int) -> Payload:
-    if not isinstance(payload, Mapping):
-        raise MalformedRecord(f"line {lineno}: payload must be an object")
+def _parse_box(rec: Any) -> BoundingBox:
+    rec = _as_object(rec, "box")
+    return BoundingBox(**{k: _as_number(_expect(rec, k), f"box.{k}") for k in "xywh"})
+
+
+def _parse_detection(item: Any) -> Detection:
+    item = _as_object(item, "detection")
+    label = _as_str(_expect(item, "class"), "detection class").lower()
+    return Detection(
+        label=LABEL_ALIASES.get(label, label),
+        score=_as_number(_expect(item, "score"), "score"),
+        box=_parse_box(_expect(item, "box")),
+    )
+
+
+def _parse_payload(kind: EventKind, payload: Any) -> Payload:
+    payload = _as_object(payload, "payload")
     if kind is EventKind.FRAME_DETECTIONS:
-        items = _expect(payload, "detections", lineno)
+        items = _expect(payload, "detections")
         if not isinstance(items, list):
-            raise MalformedRecord(f"line {lineno}: detections must be a list")
-        dets = []
-        for item in items:
-            if not isinstance(item, Mapping):
-                raise MalformedRecord(f"line {lineno}: detection must be an object")
-            label = _as_str(_expect(item, "class", lineno), "detection class", lineno).lower()
-            label = LABEL_ALIASES.get(label, label)
-            score = _as_number(_expect(item, "score", lineno), "score", lineno)
-            box = _parse_box(_expect(item, "box", lineno), lineno)
-            try:
-                dets.append(Detection(label=label, score=score, box=box))
-            except InvalidScore as exc:
-                raise MalformedRecord(f"line {lineno}: {exc}") from exc
-        return FrameDetections(detections=tuple(dets))
+            raise MalformedRecord("detections must be a list")
+        return FrameDetections(detections=tuple(_parse_detection(item) for item in items))
     if kind is EventKind.FACE_EMBEDDING:
-        values = _expect(payload, "embedding", lineno)
-        if not isinstance(values, list):
-            raise MalformedRecord(f"line {lineno}: embedding must be a list")
-        try:
-            return FaceEmbeddingPayload(embedding=Embedding.from_list(values))
-        except (EngineError, TypeError, ValueError) as exc:
-            raise MalformedRecord(f"line {lineno}: {exc}") from exc
+        return FaceEmbeddingPayload(embedding=Embedding(_expect(payload, "embedding")))
     if kind is EventKind.AUDIO_WINDOW:
-        rate = _as_int(payload.get("sample_rate", DEFAULT_SAMPLE_RATE), "sample_rate", lineno)
+        rate = _as_int(payload.get("sample_rate", DEFAULT_SAMPLE_RATE), "sample_rate")
         samples = payload.get("samples")
-        path = payload.get("path")
-        sha = payload.get("sha256")
-        try:
-            if samples is not None:
-                return AudioWindowPayload(
-                    sample_rate=rate, samples=np.asarray(samples, dtype=np.float64)
-                )
-            if path is None:
-                raise ValueError("audio window needs samples or a path")
-            return AudioWindowPayload(
-                sample_rate=rate,
-                path=_as_str(path, "audio path", lineno),
-                sha256=None if sha is None else _as_str(sha, "audio sha256", lineno),
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedRecord(f"line {lineno}: {exc}") from exc
-    if kind is EventKind.FRAME_IMAGE:
-        return FrameImageRef(path=_as_str(_expect(payload, "path", lineno), "image path", lineno))
-    raise MalformedRecord(f"line {lineno}: unhandled kind {kind}")
+        if samples is not None:  # inline samples win; a path beside them is ignored
+            return AudioWindowPayload(sample_rate=rate, samples=samples)
+        path, sha = payload.get("path"), payload.get("sha256")
+        return AudioWindowPayload(
+            sample_rate=rate,
+            path=None if path is None else _as_str(path, "audio path"),
+            sha256=None if sha is None else _as_str(sha, "audio sha256"),
+        )
+    return FrameImageRef(path=_as_str(_expect(payload, "path"), "image path"))
+
+
+# What a record's own checks raise; the reader re-raises it as a
+# MalformedRecord that names the line.
+_RECORD_ERRORS = (EngineError, TypeError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ class SessionStream:
     events: Iterator[tuple[int, SensorEvent]]
 
 
-def _records(lines: Iterable[bytes | str]) -> Iterator[tuple[int, Mapping]]:
+def _records(lines: Iterable[bytes | str]) -> Iterator[tuple[int, dict]]:
     """(line number, JSON object) of each non-blank line, decoded one at a time."""
     for lineno, line in enumerate(lines, start=1):
         if isinstance(line, bytes):
@@ -305,32 +305,29 @@ def _records(lines: Iterable[bytes | str]) -> Iterator[tuple[int, Mapping]]:
         if not line or line.isspace():
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+            rec = decode_json(line)
+        except (ValueError, RecursionError) as exc:
             raise MalformedRecord(f"line {lineno}: not valid JSON: {exc}") from exc
-        if not isinstance(rec, Mapping):
+        if not isinstance(rec, dict):
             raise MalformedRecord(f"line {lineno}: record must be a JSON object")
         yield lineno, rec
 
 
-def _events(records: Iterator[tuple[int, Mapping]]) -> Iterator[tuple[int, SensorEvent]]:
-    last_t: int | None = None
+def _events(records: Iterator[tuple[int, dict]]) -> Iterator[tuple[int, SensorEvent]]:
+    last_t = 0
     for lineno, rec in records:
-        t_ms = _as_int(_expect(rec, "t_ms", lineno), "t_ms", lineno)
-        if t_ms < 0:
-            raise MalformedRecord(f"line {lineno}: t_ms must be non-negative, got {t_ms}")
-        kind_raw = _expect(rec, "kind", lineno)
         try:
-            kind = EventKind(kind_raw)
-        except ValueError as exc:
-            raise MalformedRecord(f"line {lineno}: unknown event kind {kind_raw!r}") from exc
-        if last_t is not None and t_ms < last_t:
+            kind = EventKind(_expect(rec, "kind"))
+            payload = _parse_payload(kind, _expect(rec, "payload"))
+            ev = SensorEvent(t_ms=_expect(rec, "t_ms"), kind=kind, payload=payload)
+        except _RECORD_ERRORS as exc:
+            raise MalformedRecord(f"line {lineno}: {exc}") from exc
+        if ev.t_ms < last_t:
             raise NonMonotonicTime(
-                f"line {lineno}: t_ms {t_ms} is earlier than previous event at {last_t}"
+                f"line {lineno}: t_ms {ev.t_ms} is earlier than previous event at {last_t}"
             )
-        last_t = t_ms
-        payload = _parse_payload(kind, _expect(rec, "payload", lineno), lineno)
-        yield lineno, SensorEvent(t_ms=t_ms, kind=kind, payload=payload)
+        last_t = ev.t_ms
+        yield lineno, ev
 
 
 def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
@@ -352,13 +349,10 @@ def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
         raise MalformedRecord(
             f"line {lineno}: first record must be the header, got kind {header.get('kind')!r}"
         )
-    session_id = _as_str(_expect(header, "session_id", lineno), "session_id", lineno)
-    raw_config = header.get("config", {})
-    if not isinstance(raw_config, Mapping):
-        raise MalformedRecord(f"line {lineno}: config must be an object")
     try:
-        config = config_from_dict(raw_config)
-    except BadConfig as exc:
+        session_id = _as_str(_expect(header, "session_id"), "session_id")
+        config = config_from_dict(_as_object(header.get("config", {}), "config"))
+    except _RECORD_ERRORS as exc:
         raise MalformedRecord(f"line {lineno}: {exc}") from exc
 
     second = next(records, None)
@@ -369,12 +363,12 @@ def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
         raise MissingReferences(
             f"second record must hold reference embeddings, got kind {refs_rec.get('kind')!r}"
         )
-    rows = _expect(refs_rec, "embeddings", lineno)
+    rows = refs_rec.get("embeddings")
     if not isinstance(rows, list) or not rows:
-        raise MissingReferences("reference embeddings record is empty")
+        raise MissingReferences("reference embeddings record holds no embeddings")
     try:
-        references = ReferenceSet.from_lists(rows, expected_count=config.reference_count)
-    except (EngineError, TypeError, ValueError) as exc:
+        references = ReferenceSet(rows)
+    except _RECORD_ERRORS as exc:
         raise MalformedRecord(f"line {lineno}: {exc}") from exc
     return SessionStream(session_id, config, references, _events(records))
 
@@ -442,10 +436,7 @@ def serialize_session_log(log: SessionLog) -> bytes:
         _dump(
             {
                 "kind": "references",
-                "embeddings": [
-                    [float(v) for v in emb.values]
-                    for emb in log.reference_embeddings.references
-                ],
+                "embeddings": log.reference_embeddings.matrix.tolist(),
             }
         ),
     ]

@@ -9,20 +9,15 @@ threshold (default 0.6, ties resolved as Clean).
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import EngineError
 
-logger = logging.getLogger(__name__)
-
 EMBEDDING_DIM = 128
 DEFAULT_FACE_THRESHOLD = 0.6
-DEFAULT_REFERENCE_COUNT = 20
 
 
 class NonFiniteInput(EngineError):
@@ -66,48 +61,37 @@ class Embedding:
     def __hash__(self) -> int:  # frozen dataclass without field-based hash
         return hash(self.values.tobytes())
 
-    @classmethod
-    def from_list(cls, values: Iterable[float]) -> "Embedding":
-        return cls(np.asarray(list(values), dtype=np.float64))
-
 
 @dataclass(frozen=True, eq=False)
 class ReferenceSet:
     """The embeddings captured before the session that define the candidate.
 
-    The expected count is configurable (default 20); smaller sets are
-    accepted with a warning because real capture can lose frames.
+    One float64 row per reference embedding, shape (n, 128) with n >= 1.
+    The config's reference_count is what capture aims for; a smaller set
+    is accepted because real capture can lose frames.
     """
 
-    references: tuple[Embedding, ...]
-    matrix: np.ndarray = field(init=False, repr=False)
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        refs = tuple(self.references)
-        if not refs:
+        matrix = np.asarray(self.matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] != EMBEDDING_DIM:
+            raise NonFiniteInput(
+                f"reference set must be an (n, {EMBEDDING_DIM}) matrix, got shape {matrix.shape}"
+            )
+        if not matrix.shape[0]:
             raise EmptyReferenceSet("reference set must contain at least one embedding")
-        object.__setattr__(self, "references", refs)
-        object.__setattr__(self, "matrix", np.stack([r.values for r in refs]))
+        if not np.all(np.isfinite(matrix)):
+            raise NonFiniteInput("reference set contains non-finite components")
+        object.__setattr__(self, "matrix", matrix)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReferenceSet):
             return NotImplemented
-        return self.references == other.references
+        return bool(np.array_equal(self.matrix, other.matrix))
 
     def __len__(self) -> int:
-        return len(self.references)
-
-    @classmethod
-    def from_lists(
-        cls,
-        rows: Sequence[Sequence[float]],
-        expected_count: int = DEFAULT_REFERENCE_COUNT,
-    ) -> "ReferenceSet":
-        if len(rows) < expected_count:
-            logger.warning(
-                "reference set has %d embeddings, expected %d", len(rows), expected_count
-            )
-        return cls(tuple(Embedding.from_list(row) for row in rows))
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)

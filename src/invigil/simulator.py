@@ -294,10 +294,7 @@ def generate_session(spec: ScenarioSpec, cfg: EngineConfig | None = None) -> tup
 
     centroid = _unit(rng)
     refs = ReferenceSet(
-        references=tuple(
-            Embedding(values=centroid + REFERENCE_SPREAD * _unit(rng))
-            for _ in range(cfg.reference_count)
-        )
+        np.stack([centroid + REFERENCE_SPREAD * _unit(rng) for _ in range(cfg.reference_count)])
     )
 
     impostor_gaps = {

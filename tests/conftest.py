@@ -53,9 +53,7 @@ def unit_vec(rng: np.random.Generator) -> np.ndarray:
 
 def make_reference_set(rng: np.random.Generator, count: int = 20) -> tuple[np.ndarray, ReferenceSet]:
     centroid = unit_vec(rng)
-    refs = ReferenceSet(
-        references=tuple(Embedding(values=centroid + 0.05 * unit_vec(rng)) for _ in range(count))
-    )
+    refs = ReferenceSet(np.stack([centroid + 0.05 * unit_vec(rng) for _ in range(count)]))
     return centroid, refs
 
 

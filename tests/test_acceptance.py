@@ -92,7 +92,7 @@ def test_01_face_match_oracle_equivalence():
             centroid, refs = make_reference_set(rng, count=20)
             probe = centroid + rng.uniform(0.0, 1.2) * rng.standard_normal(128) * rng.uniform(0.0, 0.2)
             decision = classify_identity(Embedding(values=probe), refs, 0.6)
-            brute = [math.dist(probe, r.values) for r in refs.references]
+            brute = [math.dist(probe, row) for row in refs.matrix]
             brute_min = min(brute)
             assert abs(decision.min_distance - brute_min) <= 1e-9 * max(brute_min, 1e-30)
             assert decision.verdict is (
@@ -105,7 +105,7 @@ def test_01_face_match_oracle_equivalence():
         probe = base.copy()
         probe[1] += 0.36
         probe[2] += 0.48
-        refs = ReferenceSet(references=tuple(Embedding(values=base) for _ in range(20)))
+        refs = ReferenceSet(np.tile(base, (20, 1)))
         decision = classify_identity(Embedding(values=probe), refs, 0.6)
         assert decision.min_distance == 0.6
         assert decision.verdict is Verdict.CLEAN

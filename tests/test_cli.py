@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invigil import cli
-from invigil.audio.model import load_model
+from invigil.audio.model import band_contrast_model, load_model, save_model
 from invigil.config import EngineConfig
 from invigil.errors import EngineError
 from invigil.events import (
@@ -28,6 +28,7 @@ from invigil.events import (
     pcm_bytes,
     serialize_session_log,
 )
+from invigil.facematch import Embedding
 from invigil.pipeline import report_to_json, run_session
 from invigil.simulator import (
     Episode,
@@ -246,8 +247,8 @@ def _write_lines(path: Path, log, edit) -> None:
 @pytest.mark.parametrize(
     "payload, error, message",
     [
-        # replay: the band model cannot take an 8 kHz window
-        (AudioWindowPayload(sample_rate=8000, samples=np.zeros(8000)), "ShapeMismatch", "spectrogram shape"),
+        # replay: a voice model built for 30 frames cannot take a one-second window
+        (AudioWindowPayload(sample_rate=16000, samples=np.zeros(16000)), "ShapeMismatch", "spectrogram shape"),
         (AudioWindowPayload(sample_rate=16000, path="w.pcm"), "AudioIntegrityError", "cannot read audio file"),
     ],
 )
@@ -256,7 +257,16 @@ def test_analyze_event_errors_name_file_line(identity, tmp_path, payload, error,
     bad = SensorEvent(t_ms=500, kind=EventKind.AUDIO_WINDOW, payload=payload)
     log = make_log([frame_event(0), frame_event(400), bad, frame_event(900)], refs)
     _write_lines(tmp_path / "session.jsonl", log, lambda lines: lines.insert(2, ""))
-    proc = run_cli("analyze", "--log", str(tmp_path / "session.jsonl"), "--out", str(tmp_path / "r.json"))
+    save_model(band_contrast_model(input_shape=(30, 257)), tmp_path / "short.ivm")
+    proc = run_cli(
+        "analyze",
+        "--log",
+        str(tmp_path / "session.jsonl"),
+        "--voice-model",
+        str(tmp_path / "short.ivm"),
+        "--out",
+        str(tmp_path / "r.json"),
+    )
     assert proc.returncode == 1
     err = json.loads(proc.stderr.strip())
     assert err["error"] == error
@@ -279,6 +289,61 @@ def test_analyze_validates_frames_the_rate_cap_drops(identity, tmp_path):
     err = json.loads(proc.stderr.strip())
     assert err["error"] == "MalformedRecord"
     assert err["message"] == "line 4: missing key 'w'"
+
+
+def test_analyze_rejects_other_sample_rates_before_reading_side_files(identity, tmp_path):
+    _, refs = identity
+    window = SensorEvent(
+        t_ms=500, kind=EventKind.AUDIO_WINDOW, payload=AudioWindowPayload(sample_rate=16000, path="absent.pcm")
+    )
+    log = make_log([frame_event(0), window], refs)
+
+    def resample_window(lines):
+        rec = json.loads(lines[3])
+        rec["payload"]["sample_rate"] = 8000
+        lines[3] = json.dumps(rec)
+
+    _write_lines(tmp_path / "session.jsonl", log, resample_window)
+    proc = run_cli("analyze", "--log", str(tmp_path / "session.jsonl"), "--out", str(tmp_path / "r.json"))
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr.strip())
+    assert err["error"] == "MalformedRecord"
+    assert err["message"].startswith("line 4: sample_rate must be 16000 Hz")
+
+
+def test_analyze_short_reference_set_is_reported_not_warned(tmp_path):
+    # capture aims for reference_count (default 20) embeddings; fewer are
+    # accepted, and the count goes on the effective-config line
+    _, refs = make_reference_set(np.random.default_rng(3), count=3)
+    (tmp_path / "session.jsonl").write_bytes(serialize_session_log(make_log([frame_event(0)], refs)))
+    proc = run_cli("analyze", "--log", str(tmp_path / "session.jsonl"), "--out", str(tmp_path / "r.json"))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    header = json.loads(proc.stdout.splitlines()[0])
+    assert header["references"] == 3
+    assert header["effective_config"]["reference_count"] == 20
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"max_fps": 1' + "0" * 400 + "}", "integer with 401 digits is beyond the float64 range"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+    ],
+)
+def test_analyze_config_file_out_of_range_is_bad_config(assets, tmp_path, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    argv = ["analyze", "--log", str(assets / "clean.jsonl"), "--config", str(cfg_path)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.run_cli([*argv, "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    (record,) = stderr.getvalue().splitlines()
+    err = json.loads(record)
+    assert err["error"] == "BadConfig"
+    assert err["message"].startswith(f"{cfg_path}: not valid JSON: ")
+    assert message in err["message"]
 
 
 def test_analyze_checks_order_before_the_rate_cap(identity, tmp_path):
@@ -321,7 +386,7 @@ def fuzz_fixture(tmp_path_factory):
     events = [
         frame_event(0),
         frame_event(400, devices=(("phone", 0.8),)),
-        SensorEvent(t_ms=500, kind=EventKind.FACE_EMBEDDING, payload=FaceEmbeddingPayload(refs.references[0])),
+        SensorEvent(t_ms=500, kind=EventKind.FACE_EMBEDDING, payload=FaceEmbeddingPayload(Embedding(refs.matrix[0]))),
         SensorEvent(t_ms=1000, kind=EventKind.AUDIO_WINDOW, payload=audio),
         frame_event(1200, persons=2),
         SensorEvent(t_ms=1300, kind=EventKind.FRAME_IMAGE, payload=FrameImageRef(path="f.ppm")),
@@ -342,15 +407,18 @@ def _json_slots(node):
         yield from _json_slots(node[0])
 
 
-_FUZZ_VALUES = st.sampled_from([None, "x", -1, -0.5, float("nan"), {"a": 1}])
+_FUZZ_VALUES = st.sampled_from([None, "x", -1, -0.5, float("nan"), {"a": 1}, 10**400])
 
 
 @st.composite
 def _mutated_log(draw, lines):
     lines = list(lines)
     for _ in range(draw(st.integers(1, 3))):
-        op = draw(st.sampled_from(["swap_t", "delete", "set", "truncate", "bad_utf8"]))
+        op = draw(st.sampled_from(["swap_t", "delete", "set", "truncate", "bad_utf8", "nest"]))
         i = draw(st.integers(0, len(lines) - 1))
+        if op == "nest":
+            lines[i] = b"[" * 100_000
+            continue
         if op == "truncate":
             lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
             continue
@@ -360,7 +428,7 @@ def _mutated_log(draw, lines):
             continue
         try:
             records = [json.loads(line) for line in lines]
-        except ValueError:
+        except (ValueError, RecursionError):
             continue  # an earlier mutation broke the JSON; the record-level ones need it whole
         if op == "swap_t":
             j = draw(st.integers(2, len(lines) - 1))

@@ -138,6 +138,7 @@ def test_invalid_utf8_names_line(small_log):
         ("max_fps", float("inf"), "max_fps must be a finite number"),
         ("voice_threshold", True, "voice_threshold must be a finite number"),
         ("reference_count", 20.0, "reference_count must be an integer"),
+        ("max_fps", 10**400, "not valid JSON: integer with 401 digits is beyond the float64 range"),
     ],
 )
 def test_header_config_types_and_finiteness(small_log, key, value, message):
@@ -181,6 +182,51 @@ def test_identifiers_must_be_strings(small_log, kind, field, value, lineno, mess
         lines.append(json.dumps({"t_ms": 800, "kind": kind, "payload": payload}))
     with pytest.raises(MalformedRecord, match=f"line {lineno}: {message}"):
         parse_session_log("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "lineno, edit, message",
+    [
+        (3, lambda rec: rec.update(t_ms=-5), "t_ms must be non-negative, got -5"),
+        (3, lambda rec: rec.update(t_ms=True), "t_ms must be an integer, got True"),
+        (
+            4,
+            lambda rec: rec["payload"]["detections"][1].update(score=1.5),
+            "detection score must be in [0, 1], got 1.5",
+        ),
+        (
+            3,
+            lambda rec: rec["payload"]["detections"][0]["box"].update(w=-1),
+            "box extent must be non-negative, got w=-1",
+        ),
+        (
+            5,
+            lambda rec: rec["payload"]["embedding"].pop(),
+            "embedding must have exactly 128 components, got shape (127,)",
+        ),
+        (
+            5,
+            lambda rec: rec["payload"]["embedding"].__setitem__(3, float("nan")),
+            "embedding contains non-finite components",
+        ),
+        (2, lambda rec: rec["embeddings"][0].pop(), ""),
+        (
+            7,
+            lambda rec: rec["payload"]["samples"].pop(),
+            "audio window must hold exactly 16000 samples, got shape (15999,)",
+        ),
+    ],
+)
+def test_every_field_check_names_its_line(small_log, lineno, edit, message):
+    # each field is checked once, by the type it builds; the parser adds the line
+    lines = serialize_session_log(small_log).decode().splitlines()
+    lines.append(json.dumps({"t_ms": 800, "kind": "AudioWindow", "payload": {"samples": [0.0] * 16000}}))
+    rec = json.loads(lines[lineno - 1])
+    edit(rec)
+    lines[lineno - 1] = json.dumps(rec)
+    with pytest.raises(MalformedRecord) as err:
+        parse_session_log("\n".join(lines))
+    assert str(err.value).startswith(f"line {lineno}: {message}")
 
 
 def test_read_session_log_yields_events_as_lines_are_read(small_log):
@@ -250,6 +296,32 @@ def test_label_aliases_normalized(identity):
 def test_audio_window_length_enforced():
     with pytest.raises(ValueError):
         AudioWindowPayload(sample_rate=16000, samples=np.zeros(15000))
+
+
+@pytest.mark.parametrize("rate", [8000, 44100, 48000, 0])
+def test_audio_window_rate_must_be_16k(small_log, rate):
+    with pytest.raises(ValueError, match=f"sample_rate must be 16000 Hz.*got {rate}"):
+        AudioWindowPayload(sample_rate=rate, samples=np.zeros(max(rate, 1)))
+    lines = serialize_session_log(small_log).decode().splitlines()
+    lines.append(json.dumps({"t_ms": 800, "kind": "AudioWindow", "payload": {"sample_rate": rate, "path": "w.pcm"}}))
+    with pytest.raises(MalformedRecord, match="line 7: sample_rate must be 16000 Hz"):
+        parse_session_log("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "t_ms, message",
+    [
+        (str(2**1030), "integer with 311 digits is beyond the float64 range"),
+        ("9" * 5000, "Exceeds the limit"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+    ],
+)
+def test_json_numbers_and_nesting_beyond_range_name_line(small_log, t_ms, message):
+    lines = serialize_session_log(small_log).decode().splitlines()
+    lines[3] = lines[3].replace('"t_ms":400', f'"t_ms":{t_ms}', 1)
+    assert t_ms in lines[3]
+    with pytest.raises(MalformedRecord, match=f"line 4: not valid JSON: .*{message}"):
+        parse_session_log("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,15 +36,15 @@ def test_euclidean_matches_naive_loop(rng):
 def test_min_reference_distance_matches_naive(rng):
     for _ in range(30):
         probe = _emb(rng)
-        refs = ReferenceSet(references=tuple(_emb(rng) for _ in range(20)))
+        refs = ReferenceSet(rng.standard_normal((20, EMBEDDING_DIM)))
         got = min_reference_distance(probe, refs)
-        want = oracles.min_distance_naive(probe.values, [r.values for r in refs.references])
+        want = oracles.min_distance_naive(probe.values, list(refs.matrix))
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_verdict_clean_iff_within_threshold(rng):
     centroid = rng.standard_normal(EMBEDDING_DIM)
-    refs = ReferenceSet(references=tuple(Embedding(values=centroid + 0.05 * rng.standard_normal(EMBEDDING_DIM)) for _ in range(20)))
+    refs = ReferenceSet(centroid + 0.05 * rng.standard_normal((20, EMBEDDING_DIM)))
     near = Embedding(values=centroid)
     far = Embedding(values=centroid + 2.0 * np.ones(EMBEDDING_DIM) / np.sqrt(EMBEDDING_DIM) * 1.0)
     assert classify_identity(near, refs, DEFAULT_FACE_THRESHOLD).verdict is Verdict.CLEAN
@@ -58,7 +56,7 @@ def test_boundary_distance_equal_threshold_is_clean():
     probe = Embedding(values=np.zeros(EMBEDDING_DIM))
     ref = np.zeros(EMBEDDING_DIM)
     ref[0], ref[1] = 0.36, 0.48
-    refs = ReferenceSet(references=(Embedding(values=ref),))
+    refs = ReferenceSet(ref[np.newaxis])
     decision = classify_identity(probe, refs, 0.6)
     assert decision.min_distance == 0.6
     assert decision.verdict is Verdict.CLEAN
@@ -67,16 +65,16 @@ def test_boundary_distance_equal_threshold_is_clean():
 def test_boundary_any_computed_distance_as_threshold_is_clean(rng):
     for _ in range(10):
         probe = _emb(rng)
-        refs = ReferenceSet(references=tuple(_emb(rng) for _ in range(5)))
+        refs = ReferenceSet(rng.standard_normal((5, EMBEDDING_DIM)))
         d = min_reference_distance(probe, refs)
         assert classify_identity(probe, refs, d).verdict is Verdict.CLEAN
 
 
 def test_reference_order_irrelevant(rng):
     probe = _emb(rng)
-    members = [_emb(rng) for _ in range(12)]
-    a = min_reference_distance(probe, ReferenceSet(references=tuple(members)))
-    b = min_reference_distance(probe, ReferenceSet(references=tuple(reversed(members))))
+    members = rng.standard_normal((12, EMBEDDING_DIM))
+    a = min_reference_distance(probe, ReferenceSet(members))
+    b = min_reference_distance(probe, ReferenceSet(members[::-1]))
     assert a == b
 
 
@@ -95,11 +93,10 @@ def test_distance_symmetry_and_identity(seed, scale):
 def test_min_not_larger_than_any_individual(seed):
     r = np.random.default_rng(seed)
     probe = Embedding(values=r.standard_normal(EMBEDDING_DIM))
-    members = tuple(Embedding(values=r.standard_normal(EMBEDDING_DIM)) for _ in range(8))
-    refs = ReferenceSet(references=members)
+    refs = ReferenceSet(r.standard_normal((8, EMBEDDING_DIM)))
     lo = min_reference_distance(probe, refs)
-    for m in members:
-        assert lo <= euclidean_distance(probe, m) + 1e-12
+    for row in refs.matrix:
+        assert lo <= euclidean_distance(probe, Embedding(values=row)) + 1e-12
 
 
 def test_rejects_nonfinite_components():
@@ -117,9 +114,22 @@ def test_rejects_wrong_dimension():
         Embedding(values=np.zeros(64))
 
 
-def test_empty_reference_set_raises(rng):
+def test_empty_reference_set_raises():
     with pytest.raises(EmptyReferenceSet):
-        ReferenceSet(references=())
+        ReferenceSet(np.empty((0, EMBEDDING_DIM)))
+
+
+@pytest.mark.parametrize("shape", [(EMBEDDING_DIM,), (3, 64), (2, 3, EMBEDDING_DIM)])
+def test_reference_set_rejects_wrong_shape(shape):
+    with pytest.raises(NonFiniteInput, match=r"\(n, 128\) matrix"):
+        ReferenceSet(np.zeros(shape))
+
+
+def test_reference_set_rejects_nonfinite_rows():
+    matrix = np.zeros((3, EMBEDDING_DIM))
+    matrix[1, 5] = np.inf
+    with pytest.raises(NonFiniteInput, match="non-finite"):
+        ReferenceSet(matrix)
 
 
 def test_bad_threshold_rejected(rng, identity):
@@ -128,14 +138,6 @@ def test_bad_threshold_rejected(rng, identity):
         classify_identity(_emb(rng), refs, 0.0)
     with pytest.raises(ValueError):
         classify_identity(_emb(rng), refs, -1.0)
-
-
-def test_short_reference_set_warns(caplog, rng):
-    vecs = [rng.standard_normal(EMBEDDING_DIM).tolist() for _ in range(3)]
-    with caplog.at_level(logging.WARNING):
-        refs = ReferenceSet.from_lists(vecs, expected_count=20)
-    assert len(refs) == 3
-    assert any("3" in rec.message for rec in caplog.records)
 
 
 def test_embedding_equality_and_hash(rng):

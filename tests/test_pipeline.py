@@ -206,7 +206,7 @@ def test_open_short_absence_not_flagged_at_finalize(identity):
 
 def test_recheck_is_consumed_by_first_embedding(identity):
     centroid, refs = identity
-    clean = refs.references[0].values
+    clean = refs.matrix[0]
     events = (
         _present_run(0, 2000)
         + _empty_run(2500, 8500)
