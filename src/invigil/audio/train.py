@@ -7,13 +7,13 @@ can be scheduled in any order with identical results.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ..config import decode_json
 from ..errors import EngineError
 from ..events import pcm_samples
 from .dsp import DEFAULT_FRAME_LEN, DEFAULT_HOP, PcmWindow, Spectrogram, stft_spectrogram
@@ -339,11 +339,11 @@ def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[tuple
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = decode_json(line)
                 rel = str(rec["path"])
                 label = str(rec["label"])
                 rate = int(rec.get("sample_rate", 16_000))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise EngineError(f"{manifest_path}:{lineno}: bad manifest record: {exc}") from exc
             if label not in _LABEL_INDEX:
                 raise EngineError(

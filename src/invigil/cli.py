@@ -37,6 +37,7 @@ from .events import (  # noqa: F401
     resolve_audio,
     resolve_audio_refs,
     serialize_session_log,
+    write_audio_side_files,
 )
 from .objectgate import evaluate_dataset, read_detection_dataset
 from .pipeline import replay_events, report_to_json, run_session
@@ -108,7 +109,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     metrics = evaluate_reports([report], [gt])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "session.jsonl").write_bytes(serialize_session_log(log))
+    (out_dir / "session.jsonl").write_bytes(serialize_session_log(write_audio_side_files(log, out_dir)))
     (out_dir / "ground_truth.json").write_text(
         json.dumps(
             {

@@ -16,6 +16,11 @@ The frame-rate cap (`frame_rate_cap`) and audio-file loading
 `resample_frames` and `resolve_audio_refs` are the same steps applied to
 a whole in-memory `SessionLog`.
 
+Audio windows are stored inline as JSON floats or, as a client ships
+them, in 16-bit PCM side files named in the log with their sha256.
+`write_audio_side_files` moves a log's inline windows to side files; it
+only takes samples already on the 16-bit grid, so the move is lossless.
+
 Each field is checked once, by the type it builds: `SensorEvent` checks
 the timestamp and the payload type, `AudioWindowPayload` the 16 kHz rate
 and the samples, `Embedding` and `ReferenceSet` shape and finiteness,
@@ -545,3 +550,39 @@ def pcm_bytes(samples: np.ndarray) -> bytes:
 def pcm_samples(raw: bytes) -> np.ndarray:
     """Decode raw 16-bit little-endian PCM to float64 samples in [-1, 1)."""
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+
+
+AUDIO_DIR = "audio"
+
+
+def write_audio_side_files(log: SessionLog, out_dir: str | Path) -> SessionLog:
+    """The log with each inline audio window moved to a hashed PCM side file.
+
+    Window samples go to `out_dir/audio/<t_ms>.pcm` as raw 16-bit
+    little-endian PCM; the window becomes a path relative to `out_dir`,
+    where the log itself is to be written, plus the sha256 of the bytes.
+    A window whose samples do not survive that encoding bit for bit (off
+    the 16-bit grid, or a -0.0) raises ValueError before its file is
+    written, as do two windows at the same t_ms.
+    Other events and path-referenced windows pass unchanged.
+    """
+    out_dir = Path(out_dir)
+    (out_dir / AUDIO_DIR).mkdir(parents=True, exist_ok=True)
+    written: set[int] = set()
+    events = []
+    for ev in log.events:
+        if ev.kind is EventKind.AUDIO_WINDOW and ev.payload.inline:
+            raw = pcm_bytes(ev.payload.samples)
+            if pcm_samples(raw).tobytes() != ev.payload.samples.tobytes():
+                raise ValueError(f"audio window at t={ev.t_ms} ms is not on the 16-bit PCM grid")
+            if ev.t_ms in written:
+                raise ValueError(f"two audio windows at t={ev.t_ms} ms would share one side file")
+            written.add(ev.t_ms)
+            path = f"{AUDIO_DIR}/{ev.t_ms}.pcm"
+            (out_dir / path).write_bytes(raw)
+            payload = AudioWindowPayload(
+                sample_rate=ev.payload.sample_rate, path=path, sha256=hashlib.sha256(raw).hexdigest()
+            )
+            ev = replace(ev, payload=payload)
+        events.append(ev)
+    return replace(log, events=tuple(events))

@@ -9,7 +9,6 @@ matched.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -243,13 +242,15 @@ def read_detection_dataset(
     "pred": [{"class", "box", "score"}]} with boxes as {"x","y","w","h"}.
     Yields (frame_id, gt, pred) tuples.
     """
+    from .config import decode_json  # config imports this module
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = decode_json(line)
                 frame_id = str(rec["frame_id"])
                 gt = [
                     (str(item["class"]), _box_from_record(item["box"]))
@@ -259,6 +260,6 @@ def read_detection_dataset(
                     (str(item["class"]), _box_from_record(item["box"]), float(item["score"]))
                     for item in rec.get("pred", [])
                 ]
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise EngineError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
             yield frame_id, gt, pred

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio.dsp import PcmWindow
-from .config import EngineConfig
+from .config import EngineConfig, decode_json
 from .errors import EngineError
 from .events import (
     DEFAULT_SAMPLE_RATE,
@@ -48,6 +48,9 @@ REFERENCE_SPREAD = 0.05
 CANDIDATE_NOISE = (0.10, 0.20)
 IMPOSTOR_DISTANCE = 1.2
 BACKGROUND_NOISE_GAIN = 0.1
+# Longest scenario accepted: well over a 1-2 h exam, and short enough that
+# generating the whole session in memory stays feasible.
+MAX_DURATION_MS = 4 * 3600 * 1000
 
 
 class InvalidSpec(EngineError):
@@ -106,8 +109,10 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "episodes", tuple(self.episodes))
-        if self.duration_ms <= 0:
-            raise InvalidSpec(f"duration_ms must be positive, got {self.duration_ms}")
+        if not 0 < self.duration_ms <= MAX_DURATION_MS:
+            raise InvalidSpec(
+                f"duration_ms must be in (0, {MAX_DURATION_MS}], got {self.duration_ms}"
+            )
         for ep in self.episodes:
             if ep.length_ms <= 0:
                 raise InvalidSpec(f"{ep.kind.value} episode has non-positive length {ep.length_ms}")
@@ -137,6 +142,8 @@ class ScenarioSpec:
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
+    if not isinstance(data, dict):
+        raise InvalidSpec("bad scenario document: must be a JSON object")
     try:
         episodes = tuple(
             Episode(
@@ -152,14 +159,14 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
             episodes=episodes,
             seed=int(data.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"bad scenario document: {exc}") from exc
 
 
 def load_scenario_file(path: str | Path) -> ScenarioSpec:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = decode_json(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidSpec(f"{path}: {exc}") from exc
     return scenario_from_dict(data)
 
@@ -241,7 +248,8 @@ def synth_audio(kind: str, seed: int, sample_rate: int = DEFAULT_SAMPLE_RATE) ->
 
 
 def _quantize(samples: np.ndarray) -> np.ndarray:
-    """Snap to the signed-16-bit grid so JSON round-trips byte-exactly."""
+    """Snap to the signed-16-bit grid, so the log round-trips byte-exactly
+    both inline and as PCM side files."""
     return pcm_samples(pcm_bytes(samples))
 
 

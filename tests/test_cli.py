@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -31,12 +32,14 @@ from invigil.events import (
 from invigil.facematch import Embedding
 from invigil.pipeline import report_to_json, run_session
 from invigil.simulator import (
+    MAX_DURATION_MS,
     Episode,
     EpisodeKind,
     ScenarioSpec,
     generate_session,
     random_scenario,
     save_scenario_file,
+    scenario_from_dict,
     synth_audio,
 )
 
@@ -196,9 +199,55 @@ def test_simulate_writes_artifacts_and_is_reproducible(assets, tmp_path):
     for name in names:
         assert (dir_a / name).exists()
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+    pcm_files = sorted(p.name for p in (dir_a / "audio").iterdir())
+    assert pcm_files and pcm_files == sorted(p.name for p in (dir_b / "audio").iterdir())
+    for name in pcm_files:
+        assert (dir_a / "audio" / name).read_bytes() == (dir_b / "audio" / name).read_bytes()
     metrics = json.loads((dir_a / "metrics.json").read_text())
     assert metrics["overall_precision"] == 1.0
     assert metrics["overall_recall"] == 1.0
+
+
+@pytest.fixture(scope="module")
+def simulated(assets, tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("simulated")
+    proc = run_cli("simulate", "--spec", str(assets / "scenario.json"), "--out-dir", str(out_dir))
+    assert proc.returncode == 0, proc.stderr
+    return out_dir
+
+
+def _audio_lines(log_path: Path) -> list[tuple[int, dict]]:
+    lines = log_path.read_text().splitlines()
+    records = [(no, json.loads(line)) for no, line in enumerate(lines, start=1)]
+    return [(no, rec["payload"]) for no, rec in records if rec["kind"] == "AudioWindow"]
+
+
+def test_simulate_writes_audio_as_hashed_pcm_side_files(simulated):
+    assert b'"samples"' not in (simulated / "session.jsonl").read_bytes()
+    windows = _audio_lines(simulated / "session.jsonl")
+    assert windows
+    for _, payload in windows:
+        assert "samples" not in payload
+        raw = (simulated / payload["path"]).read_bytes()
+        assert len(raw) == 32_000
+        assert hashlib.sha256(raw).hexdigest() == payload["sha256"]
+    assert len(list((simulated / "audio").iterdir())) == len(windows)
+
+
+def test_analyze_names_the_line_of_a_corrupted_side_file(simulated, tmp_path):
+    out_dir = tmp_path / "sim"
+    shutil.copytree(simulated, out_dir)
+    lineno, payload = _audio_lines(out_dir / "session.jsonl")[1]
+    pcm = out_dir / payload["path"]
+    raw = bytearray(pcm.read_bytes())
+    raw[100] ^= 0x01
+    pcm.write_bytes(bytes(raw))
+    proc = run_cli("analyze", "--log", str(out_dir / "session.jsonl"), "--out", str(tmp_path / "r.json"))
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr.strip())
+    assert err["error"] == "AudioIntegrityError"
+    assert err["message"].startswith(f"line {lineno}: audio file ")
+    assert "hash mismatch" in err["message"]
 
 
 def test_simulate_seed_override_changes_session(assets, tmp_path):
@@ -344,6 +393,75 @@ def test_analyze_config_file_out_of_range_is_bad_config(assets, tmp_path, text, 
     assert err["error"] == "BadConfig"
     assert err["message"].startswith(f"{cfg_path}: not valid JSON: ")
     assert message in err["message"]
+
+
+def _run_in_process(argv: list[str]) -> tuple[int, list[str]]:
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.run_cli(argv)
+    return code, stderr.getvalue().splitlines()
+
+
+_NEST = "[" * 100_000
+_BIG_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "command, text, error, message",
+    [
+        ("simulate", _NEST, "InvalidSpec", "{path}: maximum recursion depth exceeded"),
+        ("simulate", '{"duration_ms": ' + _BIG_INT + "}", "InvalidSpec", "{path}: integer with 401 digits"),
+        ("train-voice", _NEST, "EngineError", "{path}:1: bad manifest record: maximum recursion depth"),
+        (
+            "train-voice",
+            '{"path": "w.pcm", "label": "voice", "sample_rate": 1e400}',
+            "EngineError",
+            "{path}:1: bad manifest record: cannot convert float infinity to integer",
+        ),
+        ("eval-objects", _NEST, "EngineError", "{path}:1: bad dataset record: maximum recursion depth"),
+        (
+            "eval-objects",
+            '{"frame_id": "f", "gt": [{"class": "person", "box": {"x": 0, "y": 0, "w": '
+            + _BIG_INT
+            + ', "h": 1}}]}',
+            "EngineError",
+            "{path}:1: bad dataset record: integer with 401 digits is beyond the float64 range",
+        ),
+    ],
+)
+def test_json_readers_turn_bad_input_into_one_error_record(assets, tmp_path, command, text, error, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = {
+        "simulate": ["simulate", "--spec", str(path), "--out-dir", str(tmp_path / "out")],
+        "train-voice": [
+            "train-voice", "--corpus", str(assets / "corpus"), "--manifest", str(path),
+            "--out-model", str(tmp_path / "m.ivm"),
+        ],
+        "eval-objects": ["eval-objects", "--dataset", str(path)],
+    }[command]
+    code, records = _run_in_process(argv)
+    assert code == 1
+    (record,) = records
+    err = json.loads(record)
+    assert err["error"] == error
+    assert err["message"].startswith(message.format(path=path))
+
+
+def test_simulate_rejects_overlong_scenario(tmp_path):
+    too_long = {"duration_ms": MAX_DURATION_MS + 1, "seed": 0, "episodes": []}
+    # the spec is turned away before any session is generated
+    with pytest.raises(EngineError, match="duration_ms must be in"):
+        scenario_from_dict(too_long)
+    (tmp_path / "spec.json").write_text(json.dumps(too_long))
+    argv = ["simulate", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(tmp_path)]
+    code, records = _run_in_process(argv)
+    assert code == 1
+    (record,) = records
+    assert json.loads(record) == {
+        "error": "InvalidSpec",
+        "message": f"duration_ms must be in (0, {MAX_DURATION_MS}], got {MAX_DURATION_MS + 1}",
+    }
 
 
 def test_analyze_checks_order_before_the_rate_cap(identity, tmp_path):

@@ -27,6 +27,7 @@ from invigil.events import (
     resample_frames,
     resolve_audio_refs,
     serialize_session_log,
+    write_audio_side_files,
 )
 
 from conftest import audio_event, emb_event, frame_event, make_log, make_reference_set
@@ -433,3 +434,43 @@ def test_resolve_audio_refs_materializes(tmp_path, identity):
     resolved = resolve_audio_refs(log, tmp_path)
     assert resolved.events[0].payload.inline
     assert np.array_equal(resolved.events[0].payload.samples, samples)
+
+
+def _grid_samples(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.round(rng.uniform(-1, 1, 16000) * 32768).clip(-32768, 32767) / 32768.0 + 0.0  # no -0.0
+
+
+def test_audio_side_files_round_trip(tmp_path, identity):
+    _, refs = identity
+    windows = [audio_event(0, _grid_samples(1)), audio_event(1000, _grid_samples(2))]
+    log = make_log([frame_event(0), *windows], refs)
+    moved = write_audio_side_files(log, tmp_path)
+    payloads = [ev.payload for ev in moved.events if ev.kind is EventKind.AUDIO_WINDOW]
+    assert [w.path for w in payloads] == ["audio/0.pcm", "audio/1000.pcm"]
+    for w in payloads:
+        raw = (tmp_path / w.path).read_bytes()
+        assert len(raw) == 32_000
+        assert w.sha256 == hashlib.sha256(raw).hexdigest()
+    assert moved.events[0] == log.events[0]
+    assert b'"samples"' not in serialize_session_log(moved)
+    # a path-referenced window passes through unchanged
+    assert write_audio_side_files(moved, tmp_path / "again").events == moved.events
+    resolved = resolve_audio_refs(parse_session_log(serialize_session_log(moved)), tmp_path)
+    assert serialize_session_log(resolved) == serialize_session_log(log)
+
+
+def test_audio_side_file_writer_rejects_what_it_cannot_store(tmp_path, identity):
+    _, refs = identity
+    off_grid = make_log([audio_event(0, _grid_samples(1)), audio_event(1000, np.full(16000, 0.1))], refs)
+    with pytest.raises(ValueError, match="t=1000 ms is not on the 16-bit PCM grid"):
+        write_audio_side_files(off_grid, tmp_path)
+    assert not (tmp_path / "audio" / "1000.pcm").exists()
+    # -0.0 would come back as 0.0 and serialize differently
+    negative_zero = make_log([audio_event(0, -np.zeros(16000))], refs)
+    with pytest.raises(ValueError, match="t=0 ms is not on the 16-bit PCM grid"):
+        write_audio_side_files(negative_zero, tmp_path / "zero")
+    same_t = make_log([audio_event(0, _grid_samples(1)), audio_event(0, _grid_samples(2))], refs)
+    with pytest.raises(ValueError, match="two audio windows at t=0 ms"):
+        write_audio_side_files(same_t, tmp_path / "same")
+

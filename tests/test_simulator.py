@@ -14,6 +14,7 @@ from invigil.pipeline import (
     run_session,
 )
 from invigil.simulator import (
+    MAX_DURATION_MS,
     Episode,
     EpisodeKind,
     FlagWindow,
@@ -77,6 +78,23 @@ def test_scenario_round_trip(tmp_path):
     path = tmp_path / "s.json"
     save_scenario_file(spec, path)
     assert load_scenario_file(path) == spec
+
+
+def test_scenario_duration_is_bounded():
+    # only specs are built here: a session this long is never generated
+    for duration_ms in (MAX_DURATION_MS + 1, 10**400):
+        with pytest.raises(InvalidSpec, match="duration_ms must be in"):
+            scenario_from_dict({"duration_ms": duration_ms, "seed": 0})
+    assert scenario_from_dict({"duration_ms": MAX_DURATION_MS, "seed": 0}).duration_ms == MAX_DURATION_MS
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [([], "must be a JSON object"), ({"duration_ms": float("inf")}, "cannot convert float infinity")],
+)
+def test_scenario_from_dict_rejects_non_objects_and_infinity(doc, message):
+    with pytest.raises(InvalidSpec, match=message):
+        scenario_from_dict(doc)
 
 
 def test_scenario_from_dict_rejects_unknown_kind():
