@@ -8,6 +8,13 @@ index 1 is "voice".
 The default stack: conv 3x3x8 + ReLU, 2x2 max-pool, conv 3x3x16 +
 ReLU, 2x2 max-pool, flatten, dense 32 + ReLU, dense 2. Softmax lives in
 the loss / classify step, the last dense layer emits logits.
+
+Max-pooling routes each gradient to the first corner of its 2x2 patch
+that holds the max, in row-major order, so ties break the same way on
+every run. A model's backward pass computes parameter gradients for
+every layer but no input gradient for the first layer, which nothing
+would read: each layer's `backward(dy, cache, need_dx)` returns None in
+place of the input gradient when need_dx is False.
 """
 
 from __future__ import annotations
@@ -78,7 +85,9 @@ class Conv2D:
                 cache["mask"] = z > 0
         return y
 
-    def backward(self, dy: np.ndarray, cache: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    def backward(
+        self, dy: np.ndarray, cache: dict, need_dx: bool = True
+    ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         kh, kw, cin, cout = self.w.shape
         if self.relu:
             dy = dy * cache["mask"]
@@ -86,6 +95,8 @@ class Conv2D:
         dflat = dy.reshape(n * ho * wo, cout)
         dw = (cache["flat"].T @ dflat).reshape(self.w.shape)
         db = dflat.sum(axis=0)
+        if not need_dx:
+            return None, {"w": dw, "b": db}
         dcols = (dflat @ self.w.reshape(kh * kw * cin, cout).T).reshape(n, ho, wo, kh, kw, cin)
         dx = np.zeros(cache["x_shape"], dtype=dy.dtype)
         for i in range(kh):
@@ -99,7 +110,14 @@ class Conv2D:
 
 
 class MaxPool2:
-    """2x2 max pooling with stride 2; odd trailing rows/columns are dropped."""
+    """2x2 max pooling with stride 2; odd trailing rows/columns are dropped.
+
+    The output is the elementwise max of the four strided corner views of
+    the input. Where several corners tie for the max, the gradient goes to
+    the first of them in row-major order (top-left, top-right, bottom-left,
+    bottom-right): the corner `argmax` over the flattened patch picks.
+    As the first layer of a model it computes no input gradient.
+    """
 
     kind = "maxpool2"
     params: dict[str, np.ndarray] = {}
@@ -111,28 +129,35 @@ class MaxPool2:
         return (h // 2, w // 2, c)
 
     @staticmethod
-    def _patches(x: np.ndarray) -> np.ndarray:
-        n, h, w, c = x.shape
-        ht, wt = h // 2, w // 2
-        v = x[:, : 2 * ht, : 2 * wt, :].reshape(n, ht, 2, wt, 2, c)
-        return v.transpose(0, 1, 3, 2, 4, 5).reshape(n, ht, wt, 4, c)
+    def _corners(x: np.ndarray) -> list[np.ndarray]:
+        ht, wt = x.shape[1] // 2, x.shape[2] // 2
+        return [x[:, i : 2 * ht : 2, j : 2 * wt : 2, :] for i in (0, 1) for j in (0, 1)]
 
     def forward(self, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
-        patches = self._patches(x)
+        a, b, c, d = self._corners(x)
+        y = np.maximum(np.maximum(a, b), np.maximum(c, d))
         if cache is not None:
-            cache["idx"] = patches.argmax(axis=3)
+            # masks[k]: corner k is the first corner holding the max
+            rest = np.ones(y.shape, dtype=bool)
+            masks = []
+            for corner in (a, b, c):
+                first = (corner == y) & rest
+                rest ^= first
+                masks.append(first)
+            masks.append(rest)
+            cache["masks"] = masks
             cache["x_shape"] = x.shape
-        return patches.max(axis=3)
+        return y
 
-    def backward(self, dy: np.ndarray, cache: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        n, h, w, c = cache["x_shape"]
-        ht, wt = h // 2, w // 2
-        dpatches = np.zeros((n, ht, wt, 4, c), dtype=dy.dtype)
-        np.put_along_axis(dpatches, cache["idx"][:, :, :, None, :], dy[:, :, :, None, :], axis=3)
-        dx = np.zeros((n, h, w, c), dtype=dy.dtype)
-        dx[:, : 2 * ht, : 2 * wt, :] = (
-            dpatches.reshape(n, ht, wt, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, 2 * ht, 2 * wt, c)
-        )
+    def backward(
+        self, dy: np.ndarray, cache: dict, need_dx: bool = True
+    ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
+        if not need_dx:
+            return None, {}
+        dx = np.zeros(cache["x_shape"], dtype=dy.dtype)
+        for view, mask in zip(self._corners(dx), cache["masks"]):
+            np.multiply(dy, mask, out=view)
+        dx += 0.0  # the -0.0 of a negative dy times False becomes +0.0
         return dx, {}
 
 
@@ -148,8 +173,10 @@ class Flatten:
             cache["x_shape"] = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dy: np.ndarray, cache: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        return dy.reshape(cache["x_shape"]), {}
+    def backward(
+        self, dy: np.ndarray, cache: dict, need_dx: bool = True
+    ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
+        return (dy.reshape(cache["x_shape"]) if need_dx else None), {}
 
 
 class Dense:
@@ -176,12 +203,14 @@ class Dense:
                 cache["mask"] = z > 0
         return y
 
-    def backward(self, dy: np.ndarray, cache: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    def backward(
+        self, dy: np.ndarray, cache: dict, need_dx: bool = True
+    ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         if self.relu:
             dy = dy * cache["mask"]
         dw = cache["x"].T @ dy
         db = dy.sum(axis=0)
-        dx = dy @ self.w.T
+        dx = dy @ self.w.T if need_dx else None
         return dx, {"w": dw, "b": db}
 
     @property
@@ -229,12 +258,15 @@ class VoiceModel:
         return x
 
     def backward(self, dlogits: np.ndarray, caches: list[dict]) -> list[dict[str, np.ndarray]]:
-        """Per-layer parameter gradients, aligned with self.layers."""
+        """Per-layer parameter gradients, aligned with self.layers.
+
+        The first layer's input gradient is not computed: no layer
+        before it has parameters to update.
+        """
         grads: list[dict[str, np.ndarray]] = [None] * len(self.layers)  # type: ignore[list-item]
         dy = dlogits
         for i in range(len(self.layers) - 1, -1, -1):
-            dy, g = self.layers[i].backward(dy, caches[i])
-            grads[i] = g
+            dy, grads[i] = self.layers[i].backward(dy, caches[i], need_dx=i > 0)
         return grads
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:

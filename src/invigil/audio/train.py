@@ -350,11 +350,10 @@ def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[tuple
                     f"{manifest_path}:{lineno}: label must be '{LABEL_VOICE}' or "
                     f"'{LABEL_NON_VOICE}', got {label!r}"
                 )
-            raw = (corpus_dir / rel).read_bytes()
-            samples = pcm_samples(raw)
             try:
+                samples = pcm_samples((corpus_dir / rel).read_bytes())
                 window = PcmWindow(samples=samples, sample_rate=rate)
-            except ValueError as exc:
+            except (OSError, ValueError) as exc:
                 raise EngineError(f"{manifest_path}:{lineno}: {rel}: {exc}") from exc
             items.append((window, label))
     if not items:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -43,6 +44,8 @@ class BoundingBox:
     h: float
 
     def __post_init__(self) -> None:
+        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.w) and isfinite(self.h)):
+            raise ValueError(f"box values must be finite, got x={self.x}, y={self.y}, w={self.w}, h={self.h}")
         if self.w < 0 or self.h < 0:
             raise ValueError(f"box extent must be non-negative, got w={self.w}, h={self.h}")
 

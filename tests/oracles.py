@@ -191,3 +191,46 @@ def expected_absence_flags(events, person_score_min: float, long_ms: int) -> lis
         if duration > long_ms:
             out.append((closing if closing is not None else last_any, duration))
     return out
+
+
+class MaxPool2Oracle:
+    """2x2 stride-2 max-pool by gathering each patch on a new axis.
+
+    Forward takes the max over the axis; backward scatters dy to the
+    `argmax` of each patch (the first corner holding the max, row-major),
+    with zeros elsewhere and on the odd trailing row/column. It has the
+    layer interface of the package's pool, so a model can be built on it.
+    """
+
+    kind = "maxpool2"
+    params: dict[str, np.ndarray] = {}
+
+    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+        h, w, c = in_shape
+        return (h // 2, w // 2, c)
+
+    @staticmethod
+    def patches(x: np.ndarray) -> np.ndarray:
+        """(n, h, w, c) -> (n, h // 2, w // 2, 4, c), corners in row-major order."""
+        n, h, w, c = x.shape
+        ht, wt = h // 2, w // 2
+        v = x[:, : 2 * ht, : 2 * wt, :].reshape(n, ht, 2, wt, 2, c)
+        return v.transpose(0, 1, 3, 2, 4, 5).reshape(n, ht, wt, 4, c)
+
+    def forward(self, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
+        patches = self.patches(x)
+        if cache is not None:
+            cache["idx"] = patches.argmax(axis=3)
+            cache["x_shape"] = x.shape
+        return patches.max(axis=3)
+
+    def backward(self, dy: np.ndarray, cache: dict, need_dx: bool = True):
+        n, h, w, c = cache["x_shape"]
+        ht, wt = h // 2, w // 2
+        dpatches = np.zeros((n, ht, wt, 4, c), dtype=dy.dtype)
+        np.put_along_axis(dpatches, cache["idx"][:, :, :, None, :], dy[:, :, :, None, :], axis=3)
+        dx = np.zeros((n, h, w, c), dtype=dy.dtype)
+        dx[:, : 2 * ht, : 2 * wt, :] = (
+            dpatches.reshape(n, ht, wt, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, 2 * ht, 2 * wt, c)
+        )
+        return dx, {}

@@ -19,6 +19,8 @@ from invigil.audio.model import (
     save_model,
     softmax,
 )
+from invigil.audio.train import TrainingConfig, train_voice_model
+from oracles import MaxPool2Oracle
 
 
 def _spec(samples: np.ndarray, rate: int = 16000) -> Spectrogram:
@@ -111,6 +113,10 @@ def _check_layer(layer, x, seed=0):
     for name, g in grads.items():
         num = _num_grad(loss, layer.params[name])
         assert np.allclose(g, num, rtol=1e-5, atol=1e-7), name
+    # without the input gradient, the parameter gradients are the same bytes
+    no_dx, same = layer.backward(dy, cache, need_dx=False)
+    assert no_dx is None
+    assert {k: v.tobytes() for k, v in same.items()} == {k: v.tobytes() for k, v in grads.items()}
 
 
 def test_dense_gradients():
@@ -154,9 +160,57 @@ def test_maxpool_forward_same_with_and_without_cache():
     with_cache = layer.forward(x, cache)
     without = layer.forward(x)
     assert with_cache.dtype == without.dtype == np.float32
-    assert np.array_equal(with_cache, without)
-    gathered = np.take_along_axis(layer._patches(x), cache["idx"][:, :, :, None, :], axis=3)
-    assert np.array_equal(gathered[:, :, :, 0, :], without)
+    assert with_cache.tobytes() == without.tobytes()
+    # the cached masks mark one corner per output: the oracle's argmax,
+    # which holds the max
+    oracle_cache: dict = {}
+    MaxPool2Oracle().forward(x, oracle_cache)
+    idx = oracle_cache["idx"][:, :, :, None, :]
+    assert np.array_equal(np.stack(cache["masks"], axis=3), np.arange(4)[:, None] == idx)
+    gathered = np.take_along_axis(MaxPool2Oracle.patches(x), idx, axis=3)
+    assert gathered[:, :, :, 0, :].tobytes() == without.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 9, 11, 3), (3, 8, 6, 2), (1, 59, 255, 8), (2, 2, 3, 1)])
+def test_maxpool_matches_oracle_bit_for_bit(dtype, shape):
+    rng = np.random.default_rng(18)
+    # integer values and both signed zeros: most patches hold ties
+    x = rng.choice(np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]), size=shape).astype(dtype)
+    cache: dict = {}
+    oracle_cache: dict = {}
+    y = MaxPool2().forward(x, cache)
+    expected = MaxPool2Oracle().forward(x, oracle_cache)
+    assert y.dtype == expected.dtype == dtype
+    assert y.tobytes() == expected.tobytes()
+    # negative dy: the zeros of dx must be +0.0, as the oracle writes them
+    dy = rng.standard_normal(y.shape).astype(dtype)
+    dx, _ = MaxPool2().backward(dy, cache)
+    expected_dx, _ = MaxPool2Oracle().backward(dy, oracle_cache)
+    assert dx.dtype == dtype
+    assert dx.tobytes() == expected_dx.tobytes()
+
+
+def test_training_with_oracle_pool_gives_the_same_weights():
+    shape = (13, 17)  # odd edges at both pools
+    rng = np.random.default_rng(19)
+    items = [
+        (Spectrogram(rng.integers(0, 4, size=shape).astype(np.float64), frame_len=32, hop=16), label)
+        for label in ["voice", "non-voice"] * 6
+    ]
+    hp = TrainingConfig(learning_rate=0.05, batch_size=4, max_epochs=3, patience=3)
+    initial = default_voice_model(input_shape=shape, seed=4)
+    oracle_layers = [
+        MaxPool2Oracle() if isinstance(layer, MaxPool2) else layer for layer in initial.astype(np.float32).layers
+    ]
+    oracle = VoiceModel(layers=oracle_layers, input_shape=shape)
+    model = initial.astype(np.float32)
+    trained, history = train_voice_model(items[:10], items[10:], hp=hp, seed=4, model=model)
+    trained_oracle, history_oracle = train_voice_model(items[:10], items[10:], hp=hp, seed=4, model=oracle)
+    assert history == history_oracle
+    weights = [w.tobytes() for w in trained.get_weights()]
+    assert weights == [w.tobytes() for w in trained_oracle.get_weights()]
+    assert weights != [w.tobytes() for w in initial.get_weights()]
 
 
 def test_maxpool_drops_odd_edges():

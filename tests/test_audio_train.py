@@ -318,6 +318,25 @@ def test_load_corpus_rejects_short_file(tmp_path):
         load_corpus(tmp_path, manifest)
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (bytes(32_001), "buffer size must be a multiple of element size"),
+        (None, "No such file or directory"),
+    ],
+)
+def test_load_corpus_names_line_of_unusable_pcm(tmp_path, raw, message):
+    _write_pcm(tmp_path / "a.pcm", np.zeros(16000))
+    if raw is not None:
+        (tmp_path / "b.pcm").write_bytes(raw)
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"path": "a.pcm", "label": "voice"}\n\n{"path": "b.pcm", "label": "voice"}\n')
+    with pytest.raises(EngineError) as err:
+        load_corpus(tmp_path, manifest)
+    assert str(err.value).startswith(f"{manifest}:3: b.pcm: ")
+    assert message in str(err.value)
+
+
 def test_load_corpus_empty_manifest(tmp_path):
     manifest = tmp_path / "m.jsonl"
     manifest.write_text("\n\n")

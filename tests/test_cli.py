@@ -340,6 +340,54 @@ def test_analyze_validates_frames_the_rate_cap_drops(identity, tmp_path):
     assert err["message"] == "line 4: missing key 'w'"
 
 
+_NON_FINITE_BOXES = [
+    '{"x": NaN, "y": 0, "w": Infinity, "h": 1e400}',
+    '{"x": 0, "y": 0, "w": 1e400, "h": 1}',
+    '{"x": 0, "y": -Infinity, "w": 1, "h": 1}',
+    '{"x": 0, "y": 0, "w": 1, "h": NaN}',
+]
+
+
+@pytest.mark.parametrize("box", _NON_FINITE_BOXES)
+def test_analyze_rejects_non_finite_boxes(identity, tmp_path, box):
+    _, refs = identity
+    log = make_log([frame_event(0), frame_event(400)], refs)
+
+    def break_box(lines):
+        rec = json.loads(lines[3])
+        rec["payload"]["detections"][0]["box"] = "BOX"
+        lines[3] = json.dumps(rec).replace('"BOX"', box)
+
+    _write_lines(tmp_path / "session.jsonl", log, break_box)
+    argv = ["analyze", "--log", str(tmp_path / "session.jsonl"), "--out", str(tmp_path / "r.json")]
+    code, records = _run_in_process(argv)
+    assert code == 1
+    (record,) = records
+    err = json.loads(record)
+    assert err["error"] == "MalformedRecord"
+    assert err["message"].startswith("line 4: box values must be finite")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("box", _NON_FINITE_BOXES)
+def test_eval_objects_rejects_non_finite_boxes(tmp_path, box):
+    # gt and pred alike: before, such a frame scored person accuracy 1.0
+    fine = '{"x": 0, "y": 0, "w": 10, "h": 10}'
+    path = tmp_path / "frames.jsonl"
+    for gt, pred in ((box, fine), (fine, box)):
+        path.write_text(
+            '{"frame_id": "a", "gt": [{"class": "person", "box": ' + fine + '}], "pred": []}\n'
+            '{"frame_id": "b", "gt": [{"class": "person", "box": ' + gt + '}], '
+            '"pred": [{"class": "person", "score": 0.9, "box": ' + pred + "}]}\n"
+        )
+        code, records = _run_in_process(["eval-objects", "--dataset", str(path)])
+        assert code == 1
+        (record,) = records
+        err = json.loads(record)
+        assert err["error"] == "EngineError"
+        assert err["message"].startswith(f"{path}:2: bad dataset record: box values must be finite")
+
+
 def test_analyze_rejects_other_sample_rates_before_reading_side_files(identity, tmp_path):
     _, refs = identity
     window = SensorEvent(
@@ -417,6 +465,12 @@ _BIG_INT = "1" + "0" * 400
             '{"path": "w.pcm", "label": "voice", "sample_rate": 1e400}',
             "EngineError",
             "{path}:1: bad manifest record: cannot convert float infinity to integer",
+        ),
+        (
+            "train-voice",
+            '{"path": "missing.pcm", "label": "voice"}',
+            "EngineError",
+            "{path}:1: missing.pcm: [Errno 2] No such file or directory",
         ),
         ("eval-objects", _NEST, "EngineError", "{path}:1: bad dataset record: maximum recursion depth"),
         (

@@ -91,6 +91,15 @@ def test_box_rejects_negative_size():
         BoundingBox(0.0, 0.0, -1.0, 2.0)
 
 
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_box_rejects_non_finite_values(field, value):
+    values = [0.0, 0.0, 1.0, 1.0]
+    values[field] = value
+    with pytest.raises(ValueError, match="box values must be finite"):
+        BoundingBox(*values)
+
+
 # ---------------------------------------------------------------------------
 # Device score gating
 
