@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import EngineError
-from .dsp import Spectrogram
+from .dsp import Spectrogram, WindowWorkspace
 
 VOICE_CLASS = 1
 MODEL_MAGIC = b"VOICEMDL"
@@ -309,17 +309,23 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def classify_window(spec: Spectrogram, model: VoiceModel) -> float:
+def classify_window(
+    spec: Spectrogram, model: VoiceModel, workspace: WindowWorkspace | None = None
+) -> float:
     """Probability that the window holds a human voice.
 
     Deterministic forward pass over the log-compressed spectrogram;
     raises ShapeMismatch when the spectrogram does not fit the model.
+    The model input is built in arrays of `workspace`, or of a fresh one
+    when none is given.
     """
     if spec.shape != model.input_shape:
         raise ShapeMismatch(
             f"spectrogram shape {spec.shape} does not match model input {model.input_shape}"
         )
-    x = spec.model_input()[None, :, :, None].astype(model.dtype)
+    ws = WindowWorkspace() if workspace is None else workspace
+    x = ws.array("model_input", (1, *spec.shape, 1), model.dtype)
+    x[0, :, :, 0] = spec.model_input(out=ws.array("log_magnitudes", spec.shape))
     logits = model.forward(x)
     return float(softmax(logits)[0, VOICE_CLASS])
 

@@ -224,7 +224,7 @@ def _as_int(value: Any, what: str) -> int:
 
 
 def _as_number(value: Any, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in (float, int):  # a bool's type is bool
         raise MalformedRecord(f"{what} must be a number, got {value!r}")
     return float(value)
 
@@ -241,19 +241,29 @@ def _as_object(value: Any, what: str) -> dict:
     return value
 
 
-def _parse_box(rec: Any) -> BoundingBox:
-    rec = _as_object(rec, "box")
-    return BoundingBox(**{k: _as_number(_expect(rec, k), f"box.{k}") for k in "xywh"})
-
-
 def _parse_detection(item: Any) -> Detection:
-    item = _as_object(item, "detection")
-    label = _as_str(_expect(item, "class"), "detection class").lower()
-    return Detection(
-        label=LABEL_ALIASES.get(label, label),
-        score=_as_number(_expect(item, "score"), "score"),
-        box=_parse_box(_expect(item, "box")),
-    )
+    # Fields are read and checked in the order class, score, box.x, .y,
+    # .w, .h, so a record with several faults reports the first of them.
+    if not isinstance(item, dict):
+        raise MalformedRecord("detection must be an object")
+    try:
+        label = _as_str(item["class"], "detection class").lower()
+        score = _as_number(item["score"], "score")
+        box = item["box"]
+        if not isinstance(box, dict):
+            raise MalformedRecord("box must be an object")
+        return Detection(
+            label=LABEL_ALIASES.get(label, label),
+            score=score,
+            box=BoundingBox(
+                _as_number(box["x"], "box.x"),
+                _as_number(box["y"], "box.y"),
+                _as_number(box["w"], "box.w"),
+                _as_number(box["h"], "box.h"),
+            ),
+        )
+    except KeyError as exc:
+        raise MalformedRecord(f"missing key {exc.args[0]!r}") from None
 
 
 def _parse_payload(kind: EventKind, payload: Any) -> Payload:
@@ -262,7 +272,7 @@ def _parse_payload(kind: EventKind, payload: Any) -> Payload:
         items = _expect(payload, "detections")
         if not isinstance(items, list):
             raise MalformedRecord("detections must be a list")
-        return FrameDetections(detections=tuple(_parse_detection(item) for item in items))
+        return FrameDetections(detections=tuple(map(_parse_detection, items)))
     if kind is EventKind.FACE_EMBEDDING:
         return FaceEmbeddingPayload(embedding=Embedding(_expect(payload, "embedding")))
     if kind is EventKind.AUDIO_WINDOW:
@@ -549,7 +559,9 @@ def pcm_bytes(samples: np.ndarray) -> bytes:
 
 def pcm_samples(raw: bytes) -> np.ndarray:
     """Decode raw 16-bit little-endian PCM to float64 samples in [-1, 1)."""
-    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    samples /= 32768.0
+    return samples
 
 
 AUDIO_DIR = "audio"

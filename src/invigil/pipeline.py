@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from .audio.dsp import PcmWindow, stft_spectrogram
+from .audio.dsp import PcmWindow, WindowWorkspace, stft_spectrogram
 from .audio.model import VoiceModel, band_contrast_model, classify_window
 from .config import EngineConfig
 from .errors import EngineError
@@ -242,6 +242,7 @@ def _step_audio(
     payload: AudioWindowPayload,
     cfg: EngineConfig,
     voice_model: VoiceModel | None,
+    workspace: WindowWorkspace | None,
 ) -> list[FlagEvent]:
     if voice_model is None:
         return []
@@ -251,7 +252,8 @@ def _step_audio(
             "resolve file references before replay"
         )
     window = PcmWindow(sample_rate=payload.sample_rate, samples=payload.samples)
-    prob = classify_window(stft_spectrogram(window), voice_model)
+    spec = stft_spectrogram(window, workspace=workspace)
+    prob = classify_window(spec, voice_model, workspace=workspace)
     if prob <= cfg.voice_threshold:
         state.in_voice_run = False
         return []
@@ -266,21 +268,24 @@ def step(
     ev: SensorEvent,
     cfg: EngineConfig,
     voice_model: VoiceModel | None = None,
+    workspace: WindowWorkspace | None = None,
 ) -> tuple[PipelineState, list[FlagEvent]]:
     """Advance the state machine by one event.
 
     Mutates and returns the same state object together with the flags
-    this event emitted. Events must arrive in non-decreasing t_ms; the
-    fold does not check this. Order is checked where events enter the
-    engine: by the log parser (before the frame-rate cap, which could
-    drop an out-of-order frame) and by `SessionLog` for in-memory logs.
+    this event emitted. An audio window is analysed in `workspace` when
+    one is given (see `replay_events`). Events must arrive in
+    non-decreasing t_ms; the fold does not check this. Order is checked
+    where events enter the engine: by the log parser (before the
+    frame-rate cap, which could drop an out-of-order frame) and by
+    `SessionLog` for in-memory logs.
     """
     if ev.kind is EventKind.FRAME_DETECTIONS:
         new = _step_frame(state, ev, ev.payload, cfg)
     elif ev.kind is EventKind.FACE_EMBEDDING:
         new = _step_embedding(state, ev, ev.payload, cfg)
     elif ev.kind is EventKind.AUDIO_WINDOW:
-        new = _step_audio(state, ev, ev.payload, cfg, voice_model)
+        new = _step_audio(state, ev, ev.payload, cfg, voice_model, workspace)
     else:
         new = []  # FrameImage: evidence imagery only; no rule reads it
     state.last_event_t_ms = ev.t_ms
@@ -321,14 +326,17 @@ def replay_events(
     An EngineError raised by an event is re-raised with `unit` and that
     event's number in front, so errors during the replay of a log file
     name its line. Audio windows go through the built-in band-contrast
-    classifier when no voice model is given.
+    classifier when no voice model is given. All windows of the replay
+    are analysed in one `WindowWorkspace`, so each window's spectrogram
+    and model input overwrite the previous window's.
     """
     if voice_model is None:
         voice_model = band_contrast_model()
     state = PipelineState.initial(references)
+    workspace = WindowWorkspace()
     for number, ev in events:
         try:
-            step(state, ev, cfg, voice_model)
+            step(state, ev, cfg, voice_model, workspace)
         except EngineError as exc:
             raise type(exc)(f"{unit} {number}: {exc}") from exc
     return finalize_report(state, session_id, cfg)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from invigil.audio.dsp import PcmWindow, Spectrogram, stft_spectrogram
+from invigil.audio.dsp import PcmWindow, Spectrogram, WindowWorkspace, stft_spectrogram
 from invigil.audio.model import (
     BadModelFile,
     Conv2D,
@@ -68,6 +68,44 @@ def test_classify_window_bounds_and_shape_check():
     small = Spectrogram(magnitudes=np.zeros((10, 257)), frame_len=512, hop=256)
     with pytest.raises(ShapeMismatch):
         classify_window(small, m)
+
+
+def test_one_workspace_gives_the_fresh_probability_for_every_window(tmp_path, audio_pool):
+    # a replay analyses all its windows in one workspace; no value of one
+    # window may leak into the next, whatever model or dtype ran last
+    conv_path = tmp_path / "conv.mdl"
+    save_model(default_voice_model(seed=5), conv_path)
+    models = [
+        band_contrast_model(),
+        default_voice_model(),
+        load_model(conv_path),
+        band_contrast_model().astype(np.float64),
+    ]
+    short = band_contrast_model(input_shape=(30, 257))
+    rng = np.random.default_rng(9)
+    windows = [
+        audio_pool["voiced"],
+        audio_pool["unvoiced"],
+        np.zeros(16000),
+        audio_pool["quiet"],
+        rng.uniform(-1, 1, 16000),
+        audio_pool["voiced2"],
+    ]
+    ws = WindowWorkspace()
+    for i, samples in enumerate(windows):
+        spec = stft_spectrogram(PcmWindow(samples=samples), workspace=ws)
+        if i == 3:
+            with pytest.raises(ShapeMismatch):
+                classify_window(spec, short, workspace=ws)
+        for m in models:
+            fresh_spec = stft_spectrogram(PcmWindow(samples=samples))
+            fresh = classify_window(fresh_spec, m)
+            assert classify_window(spec, m, workspace=ws) == fresh
+            # the same arithmetic as building the model input with astype
+            x = fresh_spec.model_input()[None, :, :, None].astype(m.dtype)
+            assert fresh == float(softmax(m.forward(x))[0, 1])
+    # the spectrogram of a window lives in the workspace until the next one
+    assert spec.magnitudes is ws.array("magnitudes", spec.shape)
 
 
 def test_softmax_properties():

@@ -24,12 +24,14 @@ from invigil.events import (
     AudioWindowPayload,
     EventKind,
     FaceEmbeddingPayload,
+    FrameDetections,
     FrameImageRef,
     SensorEvent,
     pcm_bytes,
     serialize_session_log,
 )
 from invigil.facematch import Embedding
+from invigil.objectgate import BoundingBox, Detection
 from invigil.pipeline import report_to_json, run_session
 from invigil.simulator import (
     MAX_DURATION_MS,
@@ -636,6 +638,72 @@ def test_analyze_fuzzed_records_give_a_report_or_an_engine_error(fuzz_fixture, d
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.run_cli(["analyze", "--log", str(log_path), "--out", str(out)])
+    if code == 0:
+        assert stderr.getvalue() == ""
+        json.loads(out.read_bytes(), parse_constant=_reject_constant)
+    else:
+        assert code == 1
+        records = stderr.getvalue().splitlines()
+        assert len(records) == 1
+        assert json.loads(records[0])["error"] in _engine_error_names()
+
+
+@pytest.fixture(scope="module")
+def client_log_fixture(tmp_path_factory):
+    """A 1.5 s log in the client's shape: 30 fps frames with several detections, one PCM side file."""
+    root = tmp_path_factory.mktemp("bytefuzz")
+    _, refs = make_reference_set(np.random.default_rng(0xB7), count=3)
+    raw = pcm_bytes(synth_audio("voiced", 6).samples)
+    (root / "audio").mkdir()
+    (root / "audio" / "1000.pcm").write_bytes(raw)
+    audio = AudioWindowPayload(sample_rate=16000, path="audio/1000.pcm", sha256=hashlib.sha256(raw).hexdigest())
+    clutter = (
+        Detection(label="cell phone", score=0.55, box=BoundingBox(x=250.0, y=150.0, w=40.0, h=30.0)),
+        Detection(label="chair", score=0.81, box=BoundingBox(x=10.5, y=20.0, w=60.0, h=35.25)),
+    )
+    events = []
+    for t in range(0, 1500, 33):
+        frame = frame_event(t, persons=1 + (t >= 1200))
+        events.append(dataclasses.replace(frame, payload=FrameDetections(frame.payload.detections + clutter)))
+        if t == 990:
+            events.append(SensorEvent(t_ms=1000, kind=EventKind.AUDIO_WINDOW, payload=audio))
+    log = make_log(events, refs, cfg=EngineConfig(reference_count=3))
+    return root, serialize_session_log(log)
+
+
+@st.composite
+def _mutated_bytes(draw, data):
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["flip", "insert", "delete"]))
+        at = draw(st.integers(0, len(data) - (op != "insert")))
+        if op == "flip":
+            data[at] ^= draw(st.integers(1, 255))
+        elif op == "insert":
+            data[at:at] = bytes([draw(st.integers(0, 255))])
+        else:
+            del data[at : at + draw(st.integers(1, 8))]
+    return bytes(data)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_analyze_fuzzed_bytes_give_a_report_or_an_engine_error(client_log_fixture, data):
+    root, log_bytes = client_log_fixture
+    log_path, out = root / "session.jsonl", root / "report.json"
+    pcm_path = root / "audio" / "1000.pcm"
+    pcm = pcm_path.read_bytes()
+    target = data.draw(st.sampled_from(["log"] * 4 + ["pcm"]))
+    log_path.write_bytes(data.draw(_mutated_bytes(log_bytes)) if target == "log" else log_bytes)
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        if target == "pcm":
+            pcm_path.write_bytes(data.draw(_mutated_bytes(pcm)))
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.run_cli(["analyze", "--log", str(log_path), "--out", str(out)])
+    finally:
+        pcm_path.write_bytes(pcm)
     if code == 0:
         assert stderr.getvalue() == ""
         json.loads(out.read_bytes(), parse_constant=_reject_constant)

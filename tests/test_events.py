@@ -19,6 +19,7 @@ from invigil.events import (
     NonMonotonicTime,
     SensorEvent,
     SessionLog,
+    frame_rate_cap,
     load_audio_samples,
     parse_session_log,
     pcm_bytes,
@@ -158,6 +159,87 @@ def test_detection_class_must_be_a_string(small_log):
     lines[3] = json.dumps(rec)
     with pytest.raises(MalformedRecord, match="line 4: detection class must be a string"):
         parse_session_log("\n".join(lines))
+
+
+def _edit_detection(detections, field, value):
+    """Set `field` of the second detection ("box.x" for a box member, "detection" for
+    the whole record) to value, or drop it."""
+    if field == "detection":
+        detections[1] = value
+        return
+    *path, key = field.split(".")
+    node = detections[1]
+    for name in path:
+        node = node[name]
+    if value is _DROP:
+        del node[key]
+    else:
+        node[key] = value
+
+
+_DROP = object()
+_DETECTION_FAULTS = [
+    ("detection", "phone", "detection must be an object"),
+    ("detection", None, "detection must be an object"),
+    ("class", _DROP, "missing key 'class'"),
+    ("class", True, "detection class must be a string, got True"),
+    ("class", 7, "detection class must be a string, got 7"),
+    ("class", None, "detection class must be a string, got None"),
+    ("score", _DROP, "missing key 'score'"),
+    ("score", True, "score must be a number, got True"),
+    ("score", "0.6", "score must be a number, got '0.6'"),
+    ("score", None, "score must be a number, got None"),
+    ("box", _DROP, "missing key 'box'"),
+    ("box", True, "box must be an object"),
+    ("box", "x", "box must be an object"),
+    ("box", None, "box must be an object"),
+    ("box", [1, 2, 3, 4], "box must be an object"),
+] + [
+    (f"box.{key}", value, message.format(key))
+    for key in "xywh"
+    for value, message in [
+        (_DROP, "missing key '{}'"),
+        (False, "box.{} must be a number, got False"),
+        ("1", "box.{} must be a number, got '1'"),
+        (None, "box.{} must be a number, got None"),
+    ]
+]
+# several faults in one detection: the first in the order class, score,
+# box.x, .y, .w, .h is the one reported
+_DETECTION_FAULT_PAIRS = [
+    ([("class", _DROP), ("score", _DROP)], "missing key 'class'"),
+    ([("score", None), ("box", _DROP)], "score must be a number, got None"),
+    ([("box.x", "1"), ("box.y", _DROP)], "box.x must be a number, got '1'"),
+    ([("box.w", _DROP), ("box.h", None)], "missing key 'w'"),
+    ([("score", 1.5), ("box.h", -1)], "box extent must be non-negative, got w=40.0, h=-1.0"),
+]
+_DETECTION_CASES = [([(f, v)], m) for f, v, m in _DETECTION_FAULTS] + _DETECTION_FAULT_PAIRS
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    _DETECTION_CASES,
+    ids=[
+        "+".join(f"{f}-{'missing' if v is _DROP else repr(v)}" for f, v in edits)
+        for edits, _ in _DETECTION_CASES
+    ],
+)
+def test_detection_field_messages_on_a_capped_frame(identity, edits, message):
+    # the frame on line 4 shares the 3 fps bucket of the frame on line 3, so
+    # the cap drops it; it is still checked, with the same message as ever
+    _, refs = identity
+    events = [frame_event(0), frame_event(100, devices=(("phone", 0.6),)), frame_event(400)]
+    lines = serialize_session_log(make_log(events, refs)).decode().splitlines()
+    keep = frame_rate_cap(3.0)
+    assert [no for no, ev in read_session_log(lines).events if keep(ev)] == [3, 5]
+    rec = json.loads(lines[3])
+    for field, value in edits:
+        _edit_detection(rec["payload"]["detections"], field, value)
+    lines[3] = json.dumps(rec)
+    keep = frame_rate_cap(3.0)
+    with pytest.raises(MalformedRecord) as err:
+        [no for no, ev in read_session_log(lines).events if keep(ev)]
+    assert str(err.value) == f"line 4: {message}"
 
 
 @pytest.mark.parametrize(
