@@ -316,7 +316,7 @@ def classify_window(
 
     Deterministic forward pass over the log-compressed spectrogram;
     raises ShapeMismatch when the spectrogram does not fit the model.
-    The model input is built in arrays of `workspace`, or of a fresh one
+    The model input is written to an array of `workspace`, or of a fresh one
     when none is given.
     """
     if spec.shape != model.input_shape:
@@ -325,7 +325,7 @@ def classify_window(
         )
     ws = WindowWorkspace() if workspace is None else workspace
     x = ws.array("model_input", (1, *spec.shape, 1), model.dtype)
-    x[0, :, :, 0] = spec.model_input(out=ws.array("log_magnitudes", spec.shape))
+    spec.model_input(out=x[0, :, :, 0])
     logits = model.forward(x)
     return float(softmax(logits)[0, VOICE_CLASS])
 

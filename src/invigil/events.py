@@ -244,14 +244,11 @@ def _as_object(value: Any, what: str) -> dict:
 def _parse_detection(item: Any) -> Detection:
     # Fields are read and checked in the order class, score, box.x, .y,
     # .w, .h, so a record with several faults reports the first of them.
-    if not isinstance(item, dict):
-        raise MalformedRecord("detection must be an object")
+    item = _as_object(item, "detection")
     try:
         label = _as_str(item["class"], "detection class").lower()
         score = _as_number(item["score"], "score")
-        box = item["box"]
-        if not isinstance(box, dict):
-            raise MalformedRecord("box must be an object")
+        box = _as_object(item["box"], "box")
         return Detection(
             label=LABEL_ALIASES.get(label, label),
             score=score,
