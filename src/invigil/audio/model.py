@@ -99,9 +99,15 @@ class Conv2D:
             return None, {"w": dw, "b": db}
         dcols = (dflat @ self.w.reshape(kh * kw * cin, cout).T).reshape(n, ho, wo, kh, kw, cin)
         dx = np.zeros(cache["x_shape"], dtype=dy.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dx[:, i : i + ho, j : j + wo, :] += dcols[:, :, :, i, j, :]
+        # col2im one sample at a time through one tap-major buffer, so each
+        # add reads one contiguous (ho, wo, cin) block; the adds and their
+        # order are those of a strided loop over the whole batch
+        taps = np.empty((kh, kw, ho, wo, cin), dtype=dcols.dtype)
+        for s in range(n):
+            taps[...] = dcols[s].transpose(2, 3, 0, 1, 4)
+            for i in range(kh):
+                for j in range(kw):
+                    dx[s, i : i + ho, j : j + wo, :] += taps[i, j]
         return dx, {"w": dw, "b": db}
 
     @property

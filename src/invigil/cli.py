@@ -30,7 +30,6 @@ from .errors import EngineError
 # this module, because bench/tracer.py wraps them.
 from .events import (  # noqa: F401
     AudioIntegrityError,
-    frame_rate_cap,
     parse_session_log,
     read_session_log,
     resample_frames,
@@ -81,21 +80,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         cfg = log.config.merged(overrides)
         model = None if args.voice_model is None else load_model(args.voice_model)
         _print_effective(cfg, None, {"references": len(log.reference_embeddings)})
-        events = _capped_resolved(log.events, cfg.max_fps, base_dir)
+        events = _resolved(log.events(cfg.max_fps), base_dir)
         report = replay_events(log.reference_embeddings, log.session_id, events, cfg, model)
     Path(args.out).write_bytes(report_to_json(report))
     return 0
 
 
-def _capped_resolved(events, max_fps: float, base_dir: Path):
-    """Numbered events through the frame-rate cap, with their PCM side files loaded."""
-    keep = frame_rate_cap(max_fps)
+def _resolved(events, base_dir: Path):
+    """Numbered events with their PCM side files loaded."""
     for no, ev in events:
-        if keep(ev):
-            try:
-                yield no, resolve_audio(ev, base_dir)
-            except AudioIntegrityError as exc:
-                raise AudioIntegrityError(f"line {no}: {exc}") from exc
+        try:
+            yield no, resolve_audio(ev, base_dir)
+        except AudioIntegrityError as exc:
+            raise AudioIntegrityError(f"line {no}: {exc}") from exc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

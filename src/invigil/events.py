@@ -7,36 +7,44 @@ references). Serialization is canonical so identical logs give
 identical bytes.
 
 Reading is one pass over the lines. `read_session_log` parses the header
-and references at once and then yields each event, decoded and validated,
-as its line is read, paired with the line's number in the file; nothing
-of a line is kept once the next one is read, so memory does not grow with
-the session. The first bad line stops the read and is the one reported.
-The frame-rate cap (`frame_rate_cap`) and audio-file loading
-(`resolve_audio`) also work one event at a time. `parse_session_log`,
-`resample_frames` and `resolve_audio_refs` are the same steps applied to
-a whole in-memory `SessionLog`.
+and references at once; `SessionStream.events(max_fps)` then yields each
+event, decoded and validated, as its line is read, paired with the line's
+number in the file. Nothing of a line is kept once the next one is read,
+so memory does not grow with the session. The first bad line stops the
+read and is the one reported. `parse_session_log` reads the same way with
+no cap; `resample_frames` applies the same `frame_rate_cap` predicate to
+a whole in-memory `SessionLog`, and `resolve_audio` / `resolve_audio_refs`
+load audio side files per event or per log.
 
 Audio windows are stored inline as JSON floats or, as a client ships
 them, in 16-bit PCM side files named in the log with their sha256.
 `write_audio_side_files` moves a log's inline windows to side files; it
 only takes samples already on the 16-bit grid, so the move is lossless.
 
-Each field is checked once, by the type it builds: `SensorEvent` checks
+Each check is written once. The types own the value checks: `SensorEvent`
 the timestamp and the payload type, `AudioWindowPayload` the 16 kHz rate
 and the samples, `Embedding` and `ReferenceSet` shape and finiteness,
-`BoundingBox` and `Detection` the extent and score. The parser only adds
-what JSON needs on top (present keys, and JSON types where a constructor
-would coerce a bool, float or string) and re-raises whatever building a
-record raises as a `MalformedRecord` that names the line. The decoder
-turns away integers beyond the float64 range and over-deep nesting.
+`BoundingBox` and `Detection` the extent and score (`objectgate.check_box`
+and `check_score`). The parser adds what JSON needs on top (present keys,
+and JSON types where a constructor would coerce a bool, float or string)
+and re-raises whatever a check raises as a `MalformedRecord` that names
+the line. The decoder turns away integers beyond the float64 range and
+over-deep nesting.
+
+Each event line is taken in this order: its kind; its payload, checked
+field by field; its `t_ms`; its order against the line before; and last
+the frame-rate cap. Frame payloads are checked in place by the parser,
+with the types' own check functions, and turned into objects only when
+the cap keeps the frame, so a dropped frame costs its checks and nothing
+more; other payloads are built, and so checked, as they are read.
 
 Timestamps are integer milliseconds since session start, strictly
 non-decreasing; ties keep file order so detections and embeddings can
 share a frame. Order is checked where events enter the engine, and only
-there: the reader checks each line before the frame-rate cap sees it
-(the cap can drop an out-of-order frame that falls in the same bucket),
-and `SessionLog` checks logs built in memory. The replay fold in
-`pipeline` assumes order and does not check it again.
+there: the reader checks each line before the cap sees it (the cap could
+drop an out-of-order frame that falls in the same bucket), and
+`SessionLog` checks logs built in memory. The replay fold in `pipeline`
+assumes order and does not check it again.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ import hashlib
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -55,7 +64,7 @@ import numpy as np
 from .config import EngineConfig, config_from_dict, decode_json
 from .errors import EngineError
 from .facematch import Embedding, ReferenceSet
-from .objectgate import BoundingBox, Detection
+from .objectgate import BoundingBox, Detection, check_box, check_score
 
 DEFAULT_SAMPLE_RATE = 16_000
 
@@ -88,6 +97,21 @@ class EventKind(str, Enum):
 
 # Kinds subject to the frames-per-second cap; audio and embeddings are not.
 FRAME_KINDS = frozenset({EventKind.FRAME_DETECTIONS, EventKind.FRAME_IMAGE})
+
+_KINDS = {kind.value: kind for kind in EventKind}
+
+
+def _event_kind(raw: Any) -> EventKind:
+    """The EventKind named by raw, a member or its string value; ValueError otherwise."""
+    kind = _KINDS.get(raw) if type(raw) is str else None
+    return EventKind(raw) if kind is None else kind
+
+
+def _check_t_ms(t_ms: Any) -> None:
+    if not isinstance(t_ms, int) or isinstance(t_ms, bool):
+        raise ValueError(f"t_ms must be an integer, got {t_ms!r}")
+    if t_ms < 0:
+        raise ValueError(f"t_ms must be non-negative, got {t_ms}")
 
 
 @dataclass(frozen=True)
@@ -169,16 +193,17 @@ _PAYLOAD_TYPES: dict[EventKind, type] = {
 
 @dataclass(frozen=True)
 class SensorEvent:
+    """One timestamped event; `kind` is stored as the EventKind member."""
+
     t_ms: int
     kind: EventKind
     payload: Payload
 
     def __post_init__(self) -> None:
-        if not isinstance(self.t_ms, int) or isinstance(self.t_ms, bool):
-            raise ValueError(f"t_ms must be an integer, got {self.t_ms!r}")
-        if self.t_ms < 0:
-            raise ValueError(f"t_ms must be non-negative, got {self.t_ms}")
-        expected = _PAYLOAD_TYPES[EventKind(self.kind)]
+        _check_t_ms(self.t_ms)
+        if type(self.kind) is not EventKind:
+            object.__setattr__(self, "kind", _event_kind(self.kind))
+        expected = _PAYLOAD_TYPES[self.kind]
         if not isinstance(self.payload, expected):
             raise ValueError(
                 f"payload for {self.kind} must be {expected.__name__}, got {type(self.payload).__name__}"
@@ -241,49 +266,88 @@ def _as_object(value: Any, what: str) -> dict:
     return value
 
 
-def _parse_detection(item: Any) -> Detection:
-    # Fields are read and checked in the order class, score, box.x, .y,
-    # .w, .h, so a record with several faults reports the first of them.
-    item = _as_object(item, "detection")
+def _check_detections(items: Any) -> None:
+    """Check a frame's detection records the way `_detection` reads them, building nothing.
+
+    Each record's fields are checked in the order class, score, box.x,
+    .y, .w, .h, then its box values and score range, so a frame with
+    several faults reports the first of them. The type tests and the
+    score range are inlined; where one fails, the `_as_*` helper or
+    `check_score` that owns the message raises it.
+    """
+    if type(items) is not list:
+        raise MalformedRecord("detections must be a list")
+    for item in items:
+        if type(item) is not dict:
+            _as_object(item, "detection")
+        try:
+            if type(item["class"]) is not str:
+                _as_str(item["class"], "detection class")
+            score = item["score"]
+            if type(score) is not float:
+                score = _as_number(score, "score")
+            box = item["box"]
+            if type(box) is not dict:
+                _as_object(box, "box")
+            x = box["x"]
+            if type(x) is not float:
+                x = _as_number(x, "box.x")
+            y = box["y"]
+            if type(y) is not float:
+                y = _as_number(y, "box.y")
+            w = box["w"]
+            if type(w) is not float:
+                w = _as_number(w, "box.w")
+            h = box["h"]
+            if type(h) is not float:
+                h = _as_number(h, "box.h")
+        except KeyError as exc:
+            raise MalformedRecord(f"missing key {exc.args[0]!r}") from None
+        check_box(x, y, w, h)
+        if not 0.0 <= score <= 1.0:
+            check_score(score)
+
+
+def _detection(item: dict) -> Detection:
+    """The Detection of a record `_check_detections` passed."""
+    label = item["class"].lower()
+    box = item["box"]
+    return Detection(
+        label=LABEL_ALIASES.get(label, label),
+        score=float(item["score"]),
+        box=BoundingBox(float(box["x"]), float(box["y"]), float(box["w"]), float(box["h"])),
+    )
+
+
+def _as_samples(value: Any) -> Any:
+    """A JSON list of inline samples as C doubles; a string, null, array or object element is refused.
+
+    `array` takes a bool as 1.0 or 0.0. A value that is not a list goes
+    to `AudioWindowPayload` as is, which says what is wrong with it.
+    """
+    if type(value) is not list:
+        return value
     try:
-        label = _as_str(item["class"], "detection class").lower()
-        score = _as_number(item["score"], "score")
-        box = _as_object(item["box"], "box")
-        return Detection(
-            label=LABEL_ALIASES.get(label, label),
-            score=score,
-            box=BoundingBox(
-                _as_number(box["x"], "box.x"),
-                _as_number(box["y"], "box.y"),
-                _as_number(box["w"], "box.w"),
-                _as_number(box["h"], "box.h"),
-            ),
-        )
-    except KeyError as exc:
-        raise MalformedRecord(f"missing key {exc.args[0]!r}") from None
+        return array("d", value)
+    except TypeError:
+        bad = next(v for v in value if not isinstance(v, (float, int)))
+        raise MalformedRecord(f"audio samples must be numbers, got {bad!r}") from None
 
 
-def _parse_payload(kind: EventKind, payload: Any) -> Payload:
-    payload = _as_object(payload, "payload")
-    if kind is EventKind.FRAME_DETECTIONS:
-        items = _expect(payload, "detections")
-        if not isinstance(items, list):
-            raise MalformedRecord("detections must be a list")
-        return FrameDetections(detections=tuple(map(_parse_detection, items)))
+def _parse_payload(kind: EventKind, payload: dict) -> Payload:
+    """The payload of a non-frame event: a face embedding or an audio window."""
     if kind is EventKind.FACE_EMBEDDING:
         return FaceEmbeddingPayload(embedding=Embedding(_expect(payload, "embedding")))
-    if kind is EventKind.AUDIO_WINDOW:
-        rate = _as_int(payload.get("sample_rate", DEFAULT_SAMPLE_RATE), "sample_rate")
-        samples = payload.get("samples")
-        if samples is not None:  # inline samples win; a path beside them is ignored
-            return AudioWindowPayload(sample_rate=rate, samples=samples)
-        path, sha = payload.get("path"), payload.get("sha256")
-        return AudioWindowPayload(
-            sample_rate=rate,
-            path=None if path is None else _as_str(path, "audio path"),
-            sha256=None if sha is None else _as_str(sha, "audio sha256"),
-        )
-    return FrameImageRef(path=_as_str(_expect(payload, "path"), "image path"))
+    rate = _as_int(payload.get("sample_rate", DEFAULT_SAMPLE_RATE), "sample_rate")
+    samples = payload.get("samples")
+    if samples is not None:  # inline samples win; a path beside them is ignored
+        return AudioWindowPayload(sample_rate=rate, samples=_as_samples(samples))
+    path, sha = payload.get("path"), payload.get("sha256")
+    return AudioWindowPayload(
+        sample_rate=rate,
+        path=None if path is None else _as_str(path, "audio path"),
+        sha256=None if sha is None else _as_str(sha, "audio sha256"),
+    )
 
 
 # What a record's own checks raise; the reader re-raises it as a
@@ -295,15 +359,22 @@ _RECORD_ERRORS = (EngineError, TypeError, ValueError)
 class SessionStream:
     """A session log opened for one pass: header and references read.
 
-    `events` yields (line number in the file, SensorEvent) pairs, each
-    record parsed and validated when its line is read. It can be
-    consumed once.
+    `events` reads the remaining records; it can be called once.
     """
 
     session_id: str
     config: EngineConfig
     reference_embeddings: ReferenceSet
-    events: Iterator[tuple[int, SensorEvent]]
+    records: Iterator[tuple[int, dict]]
+
+    def events(self, max_fps: float | None = None) -> Iterator[tuple[int, SensorEvent]]:
+        """(line number in the file, SensorEvent) pairs, each checked as its line is read.
+
+        With `max_fps`, frame events go through `frame_rate_cap(max_fps)`
+        after they are checked, and a frame the cap drops is not yielded
+        or built. With None, every event is.
+        """
+        return _events(self.records, None if max_fps is None else frame_rate_cap(max_fps))
 
 
 def _records(lines: Iterable[bytes | str]) -> Iterator[tuple[int, dict]]:
@@ -325,21 +396,43 @@ def _records(lines: Iterable[bytes | str]) -> Iterator[tuple[int, dict]]:
         yield lineno, rec
 
 
-def _events(records: Iterator[tuple[int, dict]]) -> Iterator[tuple[int, SensorEvent]]:
+def _events(
+    records: Iterator[tuple[int, dict]], keep: Callable[[int, EventKind], bool] | None
+) -> Iterator[tuple[int, SensorEvent]]:
+    # Per line: kind, payload, t_ms, order, then the cap. Frame payloads
+    # are checked in place and built only for a frame the cap keeps.
+    detections, image = EventKind.FRAME_DETECTIONS, EventKind.FRAME_IMAGE  # enum attributes are slow
     last_t = 0
     for lineno, rec in records:
         try:
-            kind = EventKind(_expect(rec, "kind"))
-            payload = _parse_payload(kind, _expect(rec, "payload"))
-            ev = SensorEvent(t_ms=_expect(rec, "t_ms"), kind=kind, payload=payload)
+            kind = _event_kind(_expect(rec, "kind"))
+            payload = _expect(rec, "payload")
+            if type(payload) is not dict:
+                _as_object(payload, "payload")
+            if kind is detections:
+                items = _expect(payload, "detections")
+                _check_detections(items)
+            elif kind is image:
+                _as_str(_expect(payload, "path"), "image path")
+            else:
+                payload = _parse_payload(kind, payload)
+            t_ms = _expect(rec, "t_ms")
+            if type(t_ms) is not int or t_ms < 0:  # _check_t_ms raises the message
+                _check_t_ms(t_ms)
         except _RECORD_ERRORS as exc:
             raise MalformedRecord(f"line {lineno}: {exc}") from exc
-        if ev.t_ms < last_t:
+        if t_ms < last_t:
             raise NonMonotonicTime(
-                f"line {lineno}: t_ms {ev.t_ms} is earlier than previous event at {last_t}"
+                f"line {lineno}: t_ms {t_ms} is earlier than previous event at {last_t}"
             )
-        last_t = ev.t_ms
-        yield lineno, ev
+        last_t = t_ms
+        if keep is not None and not keep(t_ms, kind):
+            continue
+        if kind is detections:
+            payload = FrameDetections(detections=tuple(map(_detection, items)))
+        elif kind is image:
+            payload = FrameImageRef(path=payload["path"])
+        yield lineno, SensorEvent(t_ms=t_ms, kind=kind, payload=payload)
 
 
 def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
@@ -347,7 +440,7 @@ def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
 
     `lines` is an iterable of byte or text lines (an open binary file).
     The header and reference records are parsed here; events are parsed
-    and validated lazily as `SessionStream.events` is consumed. Raises
+    and validated lazily as `SessionStream.events()` is consumed. Raises
     MalformedRecord with the offending line number, NonMonotonicTime
     when timestamps go backwards, and MissingReferences when the
     reference-embeddings record is absent.
@@ -382,7 +475,7 @@ def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
         references = ReferenceSet(rows)
     except _RECORD_ERRORS as exc:
         raise MalformedRecord(f"line {lineno}: {exc}") from exc
-    return SessionStream(session_id, config, references, _events(records))
+    return SessionStream(session_id, config, references, records)
 
 
 def parse_session_log(stream: bytes | str | Iterable[bytes]) -> SessionLog:
@@ -401,7 +494,7 @@ def parse_session_log(stream: bytes | str | Iterable[bytes]) -> SessionLog:
         session_id=log.session_id,
         config=log.config,
         reference_embeddings=log.reference_embeddings,
-        events=tuple(ev for _, ev in log.events),
+        events=tuple(ev for _, ev in log.events()),
     )
 
 
@@ -463,8 +556,8 @@ def serialize_session_log(log: SessionLog) -> bytes:
 # Sampling policy
 
 
-def frame_rate_cap(max_fps: float) -> Callable[[SensorEvent], bool]:
-    """A predicate that keeps at most one frame-kind event per 1000/max_fps ms bucket.
+def frame_rate_cap(max_fps: float) -> Callable[[int, EventKind], bool]:
+    """A predicate on (t_ms, kind) that keeps at most one frame-kind event per 1000/max_fps ms bucket.
 
     It keeps the first event of each bucket, tracking buckets per kind so
     paired detection and image events survive together. Audio windows
@@ -474,13 +567,13 @@ def frame_rate_cap(max_fps: float) -> Callable[[SensorEvent], bool]:
         raise ValueError(f"max_fps must be positive, got {max_fps}")
     last_bucket: dict[EventKind, int] = {}
 
-    def keep(ev: SensorEvent) -> bool:
-        if ev.kind not in FRAME_KINDS:
+    def keep(t_ms: int, kind: EventKind) -> bool:
+        if kind not in FRAME_KINDS:
             return True
-        bucket = math.floor(ev.t_ms * max_fps / 1000.0)
-        if last_bucket.get(ev.kind) == bucket:
+        bucket = math.floor(t_ms * max_fps / 1000.0)
+        if last_bucket.get(kind) == bucket:
             return False
-        last_bucket[ev.kind] = bucket
+        last_bucket[kind] = bucket
         return True
 
     return keep
@@ -493,7 +586,7 @@ def resample_frames(log: SessionLog, max_fps: float | None = None) -> SessionLog
     Idempotent.
     """
     keep = frame_rate_cap(log.config.max_fps if max_fps is None else max_fps)
-    return replace(log, events=tuple(ev for ev in log.events if keep(ev)))
+    return replace(log, events=tuple(ev for ev in log.events if keep(ev.t_ms, ev.kind)))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,20 @@ class MissingThreshold(EngineError):
     """No IoU threshold was supplied for a class present in the ground truth."""
 
 
+def check_box(x: float, y: float, w: float, h: float) -> None:
+    """Raise ValueError unless the box values are finite and its extent non-negative."""
+    if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
+        raise ValueError(f"box values must be finite, got x={x}, y={y}, w={w}, h={h}")
+    if w < 0 or h < 0:
+        raise ValueError(f"box extent must be non-negative, got w={w}, h={h}")
+
+
+def check_score(score: float) -> None:
+    """Raise InvalidScore unless the detection score lies in [0, 1]."""
+    if not (0.0 <= score <= 1.0):
+        raise InvalidScore(f"detection score must be in [0, 1], got {score}")
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned box: top-left corner plus extent, pixel units."""
@@ -44,10 +58,7 @@ class BoundingBox:
     h: float
 
     def __post_init__(self) -> None:
-        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.w) and isfinite(self.h)):
-            raise ValueError(f"box values must be finite, got x={self.x}, y={self.y}, w={self.w}, h={self.h}")
-        if self.w < 0 or self.h < 0:
-            raise ValueError(f"box extent must be non-negative, got w={self.w}, h={self.h}")
+        check_box(self.x, self.y, self.w, self.h)
 
     @property
     def area(self) -> float:
@@ -64,8 +75,7 @@ class Detection:
     box: BoundingBox
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.score <= 1.0):
-            raise InvalidScore(f"detection score must be in [0, 1], got {self.score}")
+        check_score(self.score)
 
 
 @dataclass(frozen=True)

@@ -234,3 +234,19 @@ class MaxPool2Oracle:
             dpatches.reshape(n, ht, wt, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, 2 * ht, 2 * wt, c)
         )
         return dx, {}
+
+
+def conv2d_dx_strided(dy: np.ndarray, w: np.ndarray, x_shape: tuple[int, ...]) -> np.ndarray:
+    """Input gradient of a valid stride-1 convolution (no ReLU), col2im as strided adds.
+
+    Each of the kh * kw taps adds its column gradients into dx for the
+    whole batch at once, reading them with a stride across the tap axes.
+    """
+    kh, kw, cin, cout = w.shape
+    n, ho, wo, _ = dy.shape
+    dcols = (dy.reshape(n * ho * wo, cout) @ w.reshape(kh * kw * cin, cout).T).reshape(n, ho, wo, kh, kw, cin)
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, i : i + ho, j : j + wo, :] += dcols[:, :, :, i, j, :]
+    return dx

@@ -20,7 +20,7 @@ from invigil.audio.model import (
     softmax,
 )
 from invigil.audio.train import TrainingConfig, train_voice_model
-from oracles import MaxPool2Oracle
+from oracles import MaxPool2Oracle, conv2d_dx_strided
 
 
 def _spec(samples: np.ndarray, rate: int = 16000) -> Spectrogram:
@@ -227,6 +227,22 @@ def test_maxpool_matches_oracle_bit_for_bit(dtype, shape):
     expected_dx, _ = MaxPool2Oracle().backward(dy, oracle_cache)
     assert dx.dtype == dtype
     assert dx.tobytes() == expected_dx.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "x_shape, w_shape", [((16, 29, 127, 8), (3, 3, 8, 16)), ((10, 61, 257, 1), (3, 3, 1, 8)), ((3, 5, 4, 2), (2, 3, 2, 3))]
+)
+def test_conv_input_gradient_matches_strided_col2im_bit_for_bit(dtype, x_shape, w_shape):
+    rng = np.random.default_rng(20)
+    conv = Conv2D(rng.standard_normal(w_shape).astype(dtype), np.zeros(w_shape[3], dtype=dtype), relu=False)
+    x = rng.standard_normal(x_shape).astype(dtype)
+    cache: dict = {}
+    dy = rng.standard_normal(conv.forward(x, cache).shape).astype(dtype)
+    dx, _ = conv.backward(dy, cache)
+    expected = conv2d_dx_strided(dy, conv.w, x_shape)
+    assert dx.dtype == dtype
+    assert dx.tobytes() == expected.tobytes()
 
 
 def test_training_with_oracle_pool_gives_the_same_weights():

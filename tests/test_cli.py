@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -48,12 +49,19 @@ from invigil.simulator import (
 from conftest import frame_event, make_log, make_reference_set
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*argv: str, cwd=None) -> subprocess.CompletedProcess:
+    # the child imports the package from this checkout, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "invigil", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
         timeout=120,
     )
 

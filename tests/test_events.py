@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from invigil.events import (
     AudioIntegrityError,
     AudioWindowPayload,
     EventKind,
+    FrameDetections,
     MalformedRecord,
     MissingReferences,
     NonMonotonicTime,
@@ -31,7 +33,10 @@ from invigil.events import (
     write_audio_side_files,
 )
 
-from conftest import audio_event, emb_event, frame_event, make_log, make_reference_set
+from invigil.objectgate import BoundingBox, Detection
+from invigil.pipeline import FlagKind, SessionLabel, run_session
+
+from conftest import audio_event, device_det, emb_event, frame_event, make_log, make_reference_set, person_det
 
 
 @pytest.fixture
@@ -231,14 +236,14 @@ def test_detection_field_messages_on_a_capped_frame(identity, edits, message):
     events = [frame_event(0), frame_event(100, devices=(("phone", 0.6),)), frame_event(400)]
     lines = serialize_session_log(make_log(events, refs)).decode().splitlines()
     keep = frame_rate_cap(3.0)
-    assert [no for no, ev in read_session_log(lines).events if keep(ev)] == [3, 5]
+    assert [no for no, ev in read_session_log(lines).events() if keep(ev.t_ms, ev.kind)] == [3, 5]
+    assert [no for no, _ in read_session_log(lines).events(3.0)] == [3, 5]
     rec = json.loads(lines[3])
     for field, value in edits:
         _edit_detection(rec["payload"]["detections"], field, value)
     lines[3] = json.dumps(rec)
-    keep = frame_rate_cap(3.0)
     with pytest.raises(MalformedRecord) as err:
-        [no for no, ev in read_session_log(lines).events if keep(ev)]
+        [no for no, _ in read_session_log(lines).events(3.0)]
     assert str(err.value) == f"line 4: {message}"
 
 
@@ -319,7 +324,7 @@ def test_read_session_log_yields_events_as_lines_are_read(small_log):
     # header and references are read at once; events wait for the caller
     assert log.session_id == small_log.session_id
     assert log.config == small_log.config
-    events = iter(log.events)
+    events = log.events()
     assert [next(events)[0] for _ in range(3)] == [3, 5, 6]
     with pytest.raises(MalformedRecord, match="line 7"):
         next(events)
@@ -409,6 +414,103 @@ def test_json_numbers_and_nesting_beyond_range_name_line(small_log, t_ms, messag
 
 # ---------------------------------------------------------------------------
 # Frame-rate cap
+
+
+@pytest.mark.parametrize(
+    "lineno, early_t, previous_t",
+    # line 4 shares the 3 fps bucket of line 3, so the cap drops it; the cap
+    # keeps line 5. Each early t_ms falls where the cap would treat it the same.
+    [(4, 350, 400), (5, 300, 500)],
+    ids=["dropped", "kept"],
+)
+@pytest.mark.parametrize("fps", [3.0, None], ids=["capped", "uncapped"])
+def test_frame_line_reports_detection_then_t_ms_then_order_fault(identity, lineno, early_t, previous_t, fps):
+    _, refs = identity
+    events = [frame_event(400), frame_event(500, devices=(("phone", 0.6),)), frame_event(1000)]
+    lines = serialize_session_log(make_log(events, refs)).decode().splitlines()
+    assert [no for no, _ in read_session_log(lines).events(3.0)] == [3, 5]
+
+    def first_error(**edits):
+        rec = json.loads(lines[lineno - 1])
+        detection = rec["payload"]["detections"][0]
+        for key in ("class", "score"):
+            if key in edits:
+                detection[key] = edits.pop(key)
+        rec.update(edits)
+        bad = lines[: lineno - 1] + [json.dumps(rec)] + lines[lineno:]
+        with pytest.raises((MalformedRecord, NonMonotonicTime)) as err:
+            list(read_session_log(bad).events(fps))
+        return type(err.value), str(err.value)
+
+    detection_fault = f"line {lineno}: detection score must be in [0, 1], got 1.5"
+    assert first_error(score=1.5, t_ms=-1) == (MalformedRecord, detection_fault)
+    assert first_error(score=1.5, t_ms=early_t) == (MalformedRecord, detection_fault)
+    assert first_error(**{"class": None, "t_ms": True}) == (
+        MalformedRecord,
+        f"line {lineno}: detection class must be a string, got None",
+    )
+    assert first_error(t_ms=-1) == (MalformedRecord, f"line {lineno}: t_ms must be non-negative, got -1")
+    assert first_error(t_ms=True) == (MalformedRecord, f"line {lineno}: t_ms must be an integer, got True")
+    assert first_error(t_ms=early_t) == (
+        NonMonotonicTime,
+        f"line {lineno}: t_ms {early_t} is earlier than previous event at {previous_t}",
+    )
+
+
+def test_a_frame_the_cap_drops_builds_no_objects(identity, monkeypatch):
+    _, refs = identity
+    # 30 fps for two seconds, a person and a phone in each frame, one
+    # embedding, and two image frames in one bucket: the cap drops the second
+    events = [frame_event(t, devices=(("phone", 0.6),)) for t in range(0, 2000, 33)]
+    events.insert(1, emb_event(10, np.zeros(128)))
+    lines = serialize_session_log(make_log(events, refs)).decode().splitlines()
+    lines.insert(5, json.dumps({"t_ms": 50, "kind": "FrameImage", "payload": {"path": "f.ppm"}}))
+    lines.insert(6, json.dumps({"t_ms": 60, "kind": "FrameImage", "payload": {"path": "g.ppm"}}))
+    built: Counter = Counter()
+    for cls in (SensorEvent, FrameDetections, Detection, BoundingBox):
+        original = cls.__init__
+
+        def counting(self, *args, _original=original, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    kept = [ev for _, ev in read_session_log(lines).events(3.0)]
+    frames = sum(ev.kind is EventKind.FRAME_DETECTIONS for ev in kept)
+    assert frames == 6  # one per 333 ms bucket
+    assert [ev.kind for ev in kept].count(EventKind.FRAME_IMAGE) == 1
+    assert built == {"SensorEvent": frames + 2, "FrameDetections": frames, "Detection": 2 * frames, "BoundingBox": 2 * frames}
+    built.clear()
+    assert len(list(read_session_log(lines).events())) == len(events) + 2
+    assert built["Detection"] == 2 * (len(events) - 1)
+
+
+def test_sensor_event_stores_the_kind_member(identity):
+    _, refs = identity
+    payload = FrameDetections(detections=(person_det(), device_det("phone", 0.9)))
+    ev = SensorEvent(t_ms=0, kind="FrameDetections", payload=payload)
+    assert ev.kind is EventKind.FRAME_DETECTIONS
+    assert ev == SensorEvent(t_ms=0, kind=EventKind.FRAME_DETECTIONS, payload=payload)
+    # the fold and the writer see the member: the phone is flagged and the log serializes
+    log = make_log([ev, frame_event(1000)], refs)
+    report = run_session(log)
+    assert report.final_label is SessionLabel.SUSPECT
+    assert [f.kind for f in report.flags] == [FlagKind.PHONE_DETECTION]
+    assert parse_session_log(serialize_session_log(log)).events == log.events
+    for bad in ("Telemetry", "FRAME_DETECTIONS", 5, None, ["FrameDetections"]):
+        with pytest.raises(ValueError, match="is not a valid EventKind"):
+            SensorEvent(t_ms=0, kind=bad, payload=payload)
+
+
+@pytest.mark.parametrize("bad", ['"0.5"', '"1e3"', "null", "[0.5]", '{"a":1}'])
+def test_inline_samples_must_be_json_numbers(identity, bad):
+    _, refs = identity
+    lines = serialize_session_log(make_log([frame_event(0), audio_event(100, np.zeros(16000))], refs))
+    lines = lines.decode().splitlines()
+    lines[3] = lines[3].replace("[0.0,0.0,", f"[0.0,{bad},", 1)
+    with pytest.raises(MalformedRecord) as err:
+        parse_session_log("\n".join(lines))
+    assert str(err.value) == f"line 4: audio samples must be numbers, got {json.loads(bad)!r}"
 
 
 def test_resample_keeps_first_event_per_bucket(identity):
