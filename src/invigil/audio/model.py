@@ -15,6 +15,18 @@ every run. A model's backward pass computes parameter gradients for
 every layer but no input gradient for the first layer, which nothing
 would read: each layer's `backward(dy, cache, need_dx)` returns None in
 place of the input gradient when need_dx is False.
+
+A training step makes the same BLAS calls as a plain numpy transcription
+and the same roundings, with fewer passes and temporaries around them:
+the bias add and the ReLU run in place on the matmul output, bias
+gradients are column sums by `einsum`, and a one-channel conv builds its
+im2col columns one kernel tap at a time. `VoiceModel.backward` owns the
+caches of its forward pass: it calls each layer with `consume=True`,
+which lets the layer multiply the ReLU mask into the gradient it is
+handed and lets a conv write its input gradient's columns into the
+cached im2col array, and then empties that cache. A direct
+`layer.backward(dy, cache)` leaves `dy` and `cache` as they were, so the
+cache can be used again.
 """
 
 from __future__ import annotations
@@ -43,6 +55,16 @@ class BadModelFile(EngineError):
     """The model container is truncated or inconsistent."""
 
 
+def _bias_grad(dflat: np.ndarray) -> np.ndarray:
+    """Column sums of a (rows, units) gradient, bit for bit `dflat.sum(axis=0)`.
+
+    With two or more columns both add the rows in order; `einsum` does so
+    without the reduction's per-row overhead. One column `sum` adds
+    pairwise, so it keeps that case.
+    """
+    return np.einsum("ij->j", dflat) if dflat.shape[1] > 1 else dflat.sum(axis=0)
+
+
 class Conv2D:
     """Valid (unpadded) 2-d convolution, stride 1, optional ReLU."""
 
@@ -65,7 +87,18 @@ class Conv2D:
         return (h - kh + 1, w - kw + 1, cout)
 
     def _cols(self, x: np.ndarray) -> np.ndarray:
+        """im2col: (N, ho, wo, kh, kw, cin), contiguous."""
         kh, kw, cin, _ = self.w.shape
+        if cin == 1:
+            # one strided copy per tap; a transposed copy of a one-channel
+            # window moves one float per inner step
+            n, h, w, _ = x.shape
+            ho, wo = h - kh + 1, w - kw + 1
+            cols = np.empty((n, ho, wo, kh, kw, 1), dtype=x.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    cols[:, :, :, i, j, :] = x[:, i : i + ho, j : j + wo, :]
+            return cols
         win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
         # (N, ho, wo, cin, kh, kw) -> (N, ho, wo, kh, kw, cin)
         return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
@@ -75,29 +108,39 @@ class Conv2D:
         cols = self._cols(x)
         n, ho, wo = cols.shape[:3]
         flat = cols.reshape(n * ho * wo, kh * kw * cin)
-        z = flat @ self.w.reshape(kh * kw * cin, cout) + self.b
+        z = flat @ self.w.reshape(kh * kw * cin, cout)
+        # the bias repeated along a whole output row, so each add runs a
+        # long inner loop rather than one of cout floats; the sums are the same
+        rows = z.reshape(n * ho, wo * cout)
+        rows += np.tile(self.b, wo)
         z = z.reshape(n, ho, wo, cout)
-        y = np.maximum(z, 0) if self.relu else z
         if cache is not None:
             cache["flat"] = flat
             cache["x_shape"] = x.shape
             if self.relu:
                 cache["mask"] = z > 0
-        return y
+        if self.relu:
+            np.maximum(z, 0, out=z)
+        return z
 
     def backward(
-        self, dy: np.ndarray, cache: dict, need_dx: bool = True
+        self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         kh, kw, cin, cout = self.w.shape
         if self.relu:
-            dy = dy * cache["mask"]
+            dy = np.multiply(dy, cache["mask"], out=dy if consume else None)
         n, ho, wo, _ = dy.shape
         dflat = dy.reshape(n * ho * wo, cout)
-        dw = (cache["flat"].T @ dflat).reshape(self.w.shape)
-        db = dflat.sum(axis=0)
+        flat = cache["flat"]
+        dw = (flat.T @ dflat).reshape(self.w.shape)
+        db = _bias_grad(dflat)
         if not need_dx:
             return None, {"w": dw, "b": db}
-        dcols = (dflat @ self.w.reshape(kh * kw * cin, cout).T).reshape(n, ho, wo, kh, kw, cin)
+        w2 = self.w.reshape(kh * kw * cin, cout)
+        # dw is taken, so a consumed cache's columns can hold the input
+        # gradient's columns
+        out = flat if consume and flat.dtype == np.result_type(dflat, w2) else None
+        dcols = np.matmul(dflat, w2.T, out=out).reshape(n, ho, wo, kh, kw, cin)
         dx = np.zeros(cache["x_shape"], dtype=dy.dtype)
         # col2im one sample at a time through one tap-major buffer, so each
         # add reads one contiguous (ho, wo, cin) block; the adds and their
@@ -144,10 +187,12 @@ class MaxPool2:
         y = np.maximum(np.maximum(a, b), np.maximum(c, d))
         if cache is not None:
             # masks[k]: corner k is the first corner holding the max
-            rest = np.ones(y.shape, dtype=bool)
-            masks = []
-            for corner in (a, b, c):
-                first = (corner == y) & rest
+            first = a == y
+            rest = ~first
+            masks = [first]
+            for corner in (b, c):
+                first = corner == y
+                first &= rest
                 rest ^= first
                 masks.append(first)
             masks.append(rest)
@@ -156,7 +201,7 @@ class MaxPool2:
         return y
 
     def backward(
-        self, dy: np.ndarray, cache: dict, need_dx: bool = True
+        self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         if not need_dx:
             return None, {}
@@ -180,7 +225,7 @@ class Flatten:
         return x.reshape(x.shape[0], -1)
 
     def backward(
-        self, dy: np.ndarray, cache: dict, need_dx: bool = True
+        self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         return (dy.reshape(cache["x_shape"]) if need_dx else None), {}
 
@@ -201,21 +246,23 @@ class Dense:
         return (self.w.shape[1],)
 
     def forward(self, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
-        z = x @ self.w + self.b
-        y = np.maximum(z, 0) if self.relu else z
+        z = x @ self.w
+        z += self.b
         if cache is not None:
             cache["x"] = x
             if self.relu:
                 cache["mask"] = z > 0
-        return y
+        if self.relu:
+            np.maximum(z, 0, out=z)
+        return z
 
     def backward(
-        self, dy: np.ndarray, cache: dict, need_dx: bool = True
+        self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         if self.relu:
-            dy = dy * cache["mask"]
+            dy = np.multiply(dy, cache["mask"], out=dy if consume else None)
         dw = cache["x"].T @ dy
-        db = dy.sum(axis=0)
+        db = _bias_grad(dy)
         dx = dy @ self.w.T if need_dx else None
         return dx, {"w": dw, "b": db}
 
@@ -270,9 +317,10 @@ class VoiceModel:
         before it has parameters to update.
         """
         grads: list[dict[str, np.ndarray]] = [None] * len(self.layers)  # type: ignore[list-item]
-        dy = dlogits
+        dy = np.array(dlogits)  # the layers may overwrite the gradient they are handed
         for i in range(len(self.layers) - 1, -1, -1):
-            dy, grads[i] = self.layers[i].backward(dy, caches[i], need_dx=i > 0)
+            dy, grads[i] = self.layers[i].backward(dy, caches[i], need_dx=i > 0, consume=True)
+            caches[i].clear()
         return grads
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:

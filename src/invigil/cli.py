@@ -74,7 +74,9 @@ def _training_config(audio: dict) -> TrainingConfig:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     base_dir = Path(args.log).parent
-    with open(args.log, "rb") as lines:
+    # a 1 MiB buffer holds several inline-audio lines, so iterating them
+    # reads the file in few system calls
+    with open(args.log, "rb", buffering=1 << 20) as lines:
         log = read_session_log(lines)
         overrides, _ = _load_cfg_overrides(args.config)
         cfg = log.config.merged(overrides)

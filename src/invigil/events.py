@@ -320,18 +320,25 @@ def _detection(item: dict) -> Detection:
 
 
 def _as_samples(value: Any) -> Any:
-    """A JSON list of inline samples as C doubles; a string, null, array or object element is refused.
+    """A JSON list of inline samples as C doubles; a string, null, bool, array or object element is refused.
 
-    `array` takes a bool as 1.0 or 0.0. A value that is not a list goes
-    to `AudioWindowPayload` as is, which says what is wrong with it.
+    A value that is not a list goes to `AudioWindowPayload` as is, which
+    says what is wrong with it.
     """
     if type(value) is not list:
         return value
     try:
-        return array("d", value)
+        samples = array("d", value)
     except TypeError:
         bad = next(v for v in value if not isinstance(v, (float, int)))
         raise MalformedRecord(f"audio samples must be numbers, got {bad!r}") from None
+    # `array` takes true and false as 1.0 and 0.0, so only the elements that
+    # read 0.0 or 1.0 can be bools
+    doubles = np.frombuffer(samples)
+    for i in np.flatnonzero((doubles == 0.0) | (doubles == 1.0)).tolist():
+        if type(value[i]) is bool:
+            raise MalformedRecord(f"audio samples must be numbers, got {value[i]!r}")
+    return samples
 
 
 def _parse_payload(kind: EventKind, payload: dict) -> Payload:

@@ -224,7 +224,7 @@ class MaxPool2Oracle:
             cache["x_shape"] = x.shape
         return patches.max(axis=3)
 
-    def backward(self, dy: np.ndarray, cache: dict, need_dx: bool = True):
+    def backward(self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False):
         n, h, w, c = cache["x_shape"]
         ht, wt = h // 2, w // 2
         dpatches = np.zeros((n, ht, wt, 4, c), dtype=dy.dtype)
@@ -250,3 +250,107 @@ def conv2d_dx_strided(dy: np.ndarray, w: np.ndarray, x_shape: tuple[int, ...]) -
         for j in range(kw):
             dx[:, i : i + ho, j : j + wo, :] += dcols[:, :, :, i, j, :]
     return dx
+
+
+class Conv2DOracle:
+    """Valid stride-1 convolution as the package first wrote it.
+
+    Forward and backward are kept as they were before the layer stopped
+    making temporaries: a broadcast bias add into a fresh array, the ReLU
+    into another, `sum(axis=0)` for the bias gradient and a fresh array for
+    the input gradient's columns. It has the layer interface of the
+    package's conv (`consume` is accepted and ignored), so a model can be
+    built on it.
+    """
+
+    kind = "conv2d"
+
+    def __init__(self, w: np.ndarray, b: np.ndarray, relu: bool = True):
+        self.w = np.asarray(w)  # (kh, kw, cin, cout)
+        self.b = np.asarray(b)  # (cout,)
+        self.relu = relu
+
+    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+        h, w, _ = in_shape
+        kh, kw, _, cout = self.w.shape
+        return (h - kh + 1, w - kw + 1, cout)
+
+    def _cols(self, x: np.ndarray) -> np.ndarray:
+        kh, kw, cin, _ = self.w.shape
+        win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+        # (N, ho, wo, cin, kh, kw) -> (N, ho, wo, kh, kw, cin)
+        return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+
+    def forward(self, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
+        kh, kw, cin, cout = self.w.shape
+        cols = self._cols(x)
+        n, ho, wo = cols.shape[:3]
+        flat = cols.reshape(n * ho * wo, kh * kw * cin)
+        z = flat @ self.w.reshape(kh * kw * cin, cout) + self.b
+        z = z.reshape(n, ho, wo, cout)
+        y = np.maximum(z, 0) if self.relu else z
+        if cache is not None:
+            cache["flat"] = flat
+            cache["x_shape"] = x.shape
+            if self.relu:
+                cache["mask"] = z > 0
+        return y
+
+    def backward(self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False):
+        kh, kw, cin, cout = self.w.shape
+        if self.relu:
+            dy = dy * cache["mask"]
+        n, ho, wo, _ = dy.shape
+        dflat = dy.reshape(n * ho * wo, cout)
+        dw = (cache["flat"].T @ dflat).reshape(self.w.shape)
+        db = dflat.sum(axis=0)
+        if not need_dx:
+            return None, {"w": dw, "b": db}
+        dcols = (dflat @ self.w.reshape(kh * kw * cin, cout).T).reshape(n, ho, wo, kh, kw, cin)
+        dx = np.zeros(cache["x_shape"], dtype=dy.dtype)
+        taps = np.empty((kh, kw, ho, wo, cin), dtype=dcols.dtype)
+        for s in range(n):
+            taps[...] = dcols[s].transpose(2, 3, 0, 1, 4)
+            for i in range(kh):
+                for j in range(kw):
+                    dx[s, i : i + ho, j : j + wo, :] += taps[i, j]
+        return dx, {"w": dw, "b": db}
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return {"w": self.w, "b": self.b}
+
+
+class DenseOracle:
+    """Fully connected layer as the package first wrote it; see Conv2DOracle."""
+
+    kind = "dense"
+
+    def __init__(self, w: np.ndarray, b: np.ndarray, relu: bool = False):
+        self.w = np.asarray(w)  # (n_in, n_out)
+        self.b = np.asarray(b)
+        self.relu = relu
+
+    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+        return (self.w.shape[1],)
+
+    def forward(self, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
+        z = x @ self.w + self.b
+        y = np.maximum(z, 0) if self.relu else z
+        if cache is not None:
+            cache["x"] = x
+            if self.relu:
+                cache["mask"] = z > 0
+        return y
+
+    def backward(self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False):
+        if self.relu:
+            dy = dy * cache["mask"]
+        dw = cache["x"].T @ dy
+        db = dy.sum(axis=0)
+        dx = dy @ self.w.T if need_dx else None
+        return dx, {"w": dw, "b": db}
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return {"w": self.w, "b": self.b}

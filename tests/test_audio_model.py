@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from invigil.audio.dsp import PcmWindow, Spectrogram, WindowWorkspace, stft_spectrogram
 from invigil.audio.model import (
@@ -12,6 +17,7 @@ from invigil.audio.model import (
     MaxPool2,
     ShapeMismatch,
     VoiceModel,
+    _bias_grad,
     band_contrast_model,
     classify_window,
     default_voice_model,
@@ -20,7 +26,7 @@ from invigil.audio.model import (
     softmax,
 )
 from invigil.audio.train import TrainingConfig, train_voice_model
-from oracles import MaxPool2Oracle, conv2d_dx_strided
+from oracles import Conv2DOracle, DenseOracle, MaxPool2Oracle, conv2d_dx_strided
 
 
 def _spec(samples: np.ndarray, rate: int = 16000) -> Spectrogram:
@@ -265,6 +271,120 @@ def test_training_with_oracle_pool_gives_the_same_weights():
     weights = [w.tobytes() for w in trained.get_weights()]
     assert weights == [w.tobytes() for w in trained_oracle.get_weights()]
     assert weights != [w.tobytes() for w in initial.get_weights()]
+
+
+def _oracle_stack(model: VoiceModel) -> VoiceModel:
+    """The model's weights, copied into the layers as first written."""
+    layers = []
+    for layer in model.layers:
+        if isinstance(layer, Conv2D):
+            layers.append(Conv2DOracle(layer.w.copy(), layer.b.copy(), layer.relu))
+        elif isinstance(layer, Dense):
+            layers.append(DenseOracle(layer.w.copy(), layer.b.copy(), layer.relu))
+        elif isinstance(layer, MaxPool2):
+            layers.append(MaxPool2Oracle())
+        else:
+            layers.append(Flatten())
+    return VoiceModel(layers=layers, input_shape=model.input_shape)
+
+
+def test_training_at_the_bench_shape_matches_the_oracle_layers_bit_for_bit():
+    # 29 training windows in batches of 16 and 13, as the bench trains them
+    rng = np.random.default_rng(21)
+    items = [
+        (Spectrogram(rng.uniform(0.0, 3.0, size=(61, 257)), frame_len=512, hop=256), label)
+        for label in ["voice", "non-voice"] * 16
+    ]
+    hp = TrainingConfig(learning_rate=0.05, batch_size=16, max_epochs=2, patience=2)
+    model = default_voice_model(seed=7)
+    oracle = _oracle_stack(model)
+    initial = [w.tobytes() for w in model.get_weights()]
+    trained, history = train_voice_model(items[:29], items[29:], hp=hp, seed=7, model=model)
+    trained_oracle, history_oracle = train_voice_model(items[:29], items[29:], hp=hp, seed=7, model=oracle)
+    assert history == history_oracle
+    weights = [w.tobytes() for w in trained.get_weights()]
+    assert weights == [w.tobytes() for w in trained_oracle.get_weights()]
+    assert weights != initial
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=300),
+        elements={"allow_nan": False, "allow_infinity": False, "min_value": -1e6, "max_value": 1e6},
+    )
+)
+def test_bias_gradient_is_the_axis0_sum_bit_for_bit(dflat):
+    assert _bias_grad(dflat).dtype == dflat.dtype
+    assert _bias_grad(dflat).tobytes() == dflat.sum(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(240720, 8), (54000, 16), (16, 32), (16, 2), (5000, 1)])
+def test_bias_gradient_at_the_bench_shapes(dtype, shape):
+    dflat = np.random.default_rng(22).standard_normal(shape).astype(dtype)
+    assert _bias_grad(dflat).tobytes() == dflat.sum(axis=0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "layer, x_shape",
+    [
+        (Conv2D(np.linspace(-1, 1, 54).reshape(3, 3, 2, 3), np.array([0.1, -0.2, 0.0]), relu=True), (2, 6, 7, 2)),
+        (Conv2D(np.linspace(-1, 1, 18).reshape(3, 3, 1, 2), np.array([0.1, -0.1]), relu=True), (3, 5, 6, 1)),
+        (Conv2D(np.linspace(-1, 1, 24).reshape(2, 2, 2, 3), np.zeros(3), relu=False), (2, 4, 5, 2)),
+        (Dense(np.linspace(-1, 1, 15).reshape(5, 3), np.array([0.1, 0.0, -0.1]), relu=True), (4, 5)),
+    ],
+)
+def test_direct_backward_leaves_its_cache_usable(layer, x_shape):
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal(x_shape)
+    cache: dict = {}
+    dy = rng.standard_normal(layer.forward(x, cache).shape)
+    kept = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in cache.items()}
+    dy_kept = dy.copy()
+
+    def as_bytes(result):
+        dx, grads = result
+        return dx.tobytes(), {k: v.tobytes() for k, v in grads.items()}
+
+    first = as_bytes(layer.backward(dy, cache))
+    assert as_bytes(layer.backward(dy, cache)) == first
+    assert dy.tobytes() == dy_kept.tobytes()
+    assert cache.keys() == kept.keys()
+    for k, v in kept.items():
+        assert (cache[k].tobytes() == v.tobytes()) if isinstance(v, np.ndarray) else cache[k] == v
+    # a consumed cache and gradient give the same bytes
+    assert as_bytes(layer.backward(dy.copy(), cache, consume=True)) == first
+
+
+def test_model_backward_drops_its_caches_and_keeps_dlogits():
+    m = default_voice_model(input_shape=(13, 17), seed=2)
+    m.layers[-1].relu = True  # its mask would zero entries of dlogits in place
+    caches: list[dict] = []
+    m.forward(np.random.default_rng(24).standard_normal((2, 13, 17, 1)).astype(np.float32), caches)
+    dlogits = np.array([[0.5, -0.5], [-0.25, 0.25]], dtype=np.float32)
+    m.backward(dlogits, caches)
+    assert caches == [{}] * len(m.layers)
+    assert dlogits.tolist() == [[0.5, -0.5], [-0.25, 0.25]]
+
+
+def test_training_step_peak_memory_at_batch_16():
+    # a batch-16 step on the default stack peaked at 54.9 MB when every
+    # bias add, ReLU and input-gradient column got a fresh array, and at
+    # about 37-40 MB once they reuse their arrays
+    m = default_voice_model(seed=1)
+    x = np.random.default_rng(25).standard_normal((16, 61, 257, 1)).astype(np.float32)
+    dlogits = np.full((16, 2), 1 / 16, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        caches: list[dict] = []
+        m.forward(x, caches)
+        m.backward(dlogits, caches)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 45e6
 
 
 def test_maxpool_drops_odd_edges():

@@ -502,7 +502,7 @@ def test_sensor_event_stores_the_kind_member(identity):
             SensorEvent(t_ms=0, kind=bad, payload=payload)
 
 
-@pytest.mark.parametrize("bad", ['"0.5"', '"1e3"', "null", "[0.5]", '{"a":1}'])
+@pytest.mark.parametrize("bad", ['"0.5"', '"1e3"', "null", "[0.5]", '{"a":1}', "true", "false"])
 def test_inline_samples_must_be_json_numbers(identity, bad):
     _, refs = identity
     lines = serialize_session_log(make_log([frame_event(0), audio_event(100, np.zeros(16000))], refs))
@@ -511,6 +511,24 @@ def test_inline_samples_must_be_json_numbers(identity, bad):
     with pytest.raises(MalformedRecord) as err:
         parse_session_log("\n".join(lines))
     assert str(err.value) == f"line 4: audio samples must be numbers, got {json.loads(bad)!r}"
+
+
+def test_inline_samples_of_zeros_and_ones_pass_but_a_leading_true_does_not(identity):
+    _, refs = identity
+    samples = np.zeros(16000)
+    samples[::3] = 1.0
+    lines = serialize_session_log(make_log([frame_event(0), audio_event(100, samples)], refs)).decode().splitlines()
+    assert '"samples":[1.0,0.0,0.0,1.0,' in lines[3]
+    log = parse_session_log("\n".join(lines))
+    assert np.asarray(log.events[1].payload.samples).tobytes() == samples.tobytes()
+    # JSON integers 0 and 1 are numbers too
+    lines[3] = lines[3].replace('"samples":[1.0,0.0,', '"samples":[1,0,', 1)
+    log = parse_session_log("\n".join(lines))
+    assert np.asarray(log.events[1].payload.samples).tobytes() == samples.tobytes()
+    lines[3] = lines[3].replace('"samples":[1,', '"samples":[true,', 1)
+    with pytest.raises(MalformedRecord) as err:
+        parse_session_log("\n".join(lines))
+    assert str(err.value) == "line 4: audio samples must be numbers, got True"
 
 
 def test_resample_keeps_first_event_per_bucket(identity):
