@@ -37,7 +37,7 @@ def main() -> int:
     for seed in range(args.start, args.start + args.seeds):
         spec = random_scenario(seed)
         log, gt = generate_session(spec, cfg)
-        report = run_session(log, cfg)
+        report = run_session(log)
         reports.append(report)
         truths.append(gt)
         if args.verbose:

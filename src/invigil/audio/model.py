@@ -20,13 +20,12 @@ A training step makes the same BLAS calls as a plain numpy transcription
 and the same roundings, with fewer passes and temporaries around them:
 the bias add and the ReLU run in place on the matmul output, bias
 gradients are column sums by `einsum`, and a one-channel conv builds its
-im2col columns one kernel tap at a time. `VoiceModel.backward` owns the
-caches of its forward pass: it calls each layer with `consume=True`,
-which lets the layer multiply the ReLU mask into the gradient it is
-handed and lets a conv write its input gradient's columns into the
-cached im2col array, and then empties that cache. A direct
-`layer.backward(dy, cache)` leaves `dy` and `cache` as they were, so the
-cache can be used again.
+im2col columns one kernel tap at a time. A layer's backward works in
+place on the `dy` and cache it is handed: it multiplies the ReLU mask
+into `dy`, and a conv writes its input gradient's columns into the
+cached im2col array once `dw` is taken. A cache therefore serves one
+backward call. `VoiceModel.backward` copies `dlogits` and empties each
+cache after its layer.
 """
 
 from __future__ import annotations
@@ -124,11 +123,11 @@ class Conv2D:
         return z
 
     def backward(
-        self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False
+        self, dy: np.ndarray, cache: dict, need_dx: bool = True
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         kh, kw, cin, cout = self.w.shape
         if self.relu:
-            dy = np.multiply(dy, cache["mask"], out=dy if consume else None)
+            dy *= cache["mask"]
         n, ho, wo, _ = dy.shape
         dflat = dy.reshape(n * ho * wo, cout)
         flat = cache["flat"]
@@ -137,9 +136,9 @@ class Conv2D:
         if not need_dx:
             return None, {"w": dw, "b": db}
         w2 = self.w.reshape(kh * kw * cin, cout)
-        # dw is taken, so a consumed cache's columns can hold the input
-        # gradient's columns
-        out = flat if consume and flat.dtype == np.result_type(dflat, w2) else None
+        # dw is taken, so the cached columns can hold the input gradient's
+        # columns; a 1x1 conv's columns are a read-only view of its input
+        out = flat if flat.flags.writeable and flat.dtype == np.result_type(dflat, w2) else None
         dcols = np.matmul(dflat, w2.T, out=out).reshape(n, ho, wo, kh, kw, cin)
         dx = np.zeros(cache["x_shape"], dtype=dy.dtype)
         # col2im one sample at a time through one tap-major buffer, so each
@@ -201,7 +200,7 @@ class MaxPool2:
         return y
 
     def backward(
-        self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False
+        self, dy: np.ndarray, cache: dict, need_dx: bool = True
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         if not need_dx:
             return None, {}
@@ -225,7 +224,7 @@ class Flatten:
         return x.reshape(x.shape[0], -1)
 
     def backward(
-        self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False
+        self, dy: np.ndarray, cache: dict, need_dx: bool = True
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         return (dy.reshape(cache["x_shape"]) if need_dx else None), {}
 
@@ -257,10 +256,10 @@ class Dense:
         return z
 
     def backward(
-        self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False
+        self, dy: np.ndarray, cache: dict, need_dx: bool = True
     ) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
         if self.relu:
-            dy = np.multiply(dy, cache["mask"], out=dy if consume else None)
+            dy *= cache["mask"]
         dw = cache["x"].T @ dy
         db = _bias_grad(dy)
         dx = dy @ self.w.T if need_dx else None
@@ -319,7 +318,7 @@ class VoiceModel:
         grads: list[dict[str, np.ndarray]] = [None] * len(self.layers)  # type: ignore[list-item]
         dy = np.array(dlogits)  # the layers may overwrite the gradient they are handed
         for i in range(len(self.layers) - 1, -1, -1):
-            dy, grads[i] = self.layers[i].backward(dy, caches[i], need_dx=i > 0, consume=True)
+            dy, grads[i] = self.layers[i].backward(dy, caches[i], need_dx=i > 0)
             caches[i].clear()
         return grads
 
@@ -411,29 +410,27 @@ def default_voice_model(
     return VoiceModel(layers=layers, input_shape=input_shape)
 
 
-def band_contrast_model(
-    input_shape: tuple[int, int] = (61, 257),
-    split_bin: int = 64,
-    margin: float = 0.25,
-    gain: float = 6.0,
-) -> VoiceModel:
+BAND_SPLIT_BIN = 64
+BAND_MARGIN = 0.25
+BAND_GAIN = 6.0
+
+
+def band_contrast_model(input_shape: tuple[int, int] = (61, 257)) -> VoiceModel:
     """Fixed-weight model comparing low-band and high-band energy.
 
-    The voice logit is gain * (mean low-band log-magnitude - mean
-    high-band log-magnitude - margin); the other logit is zero. Useful
-    as a deterministic classifier for fixtures and simulations: harmonic
-    signals concentrate energy below the split bin, wide-band noise does
-    not.
+    The voice logit is BAND_GAIN * (mean log-magnitude below bin
+    BAND_SPLIT_BIN - mean log-magnitude from it up - BAND_MARGIN); the
+    other logit is zero. Useful as a deterministic classifier for fixtures
+    and simulations: harmonic signals concentrate energy below the split
+    bin, wide-band noise does not.
     """
     frames, bins = input_shape
-    if not (0 < split_bin < bins):
-        raise ValueError(f"split_bin must lie inside (0, {bins}), got {split_bin}")
     w = np.zeros((frames * bins, 2), dtype=np.float32)
     per_bin = np.zeros(bins, dtype=np.float32)
-    per_bin[:split_bin] = gain / (frames * split_bin)
-    per_bin[split_bin:] = -gain / (frames * (bins - split_bin))
+    per_bin[:BAND_SPLIT_BIN] = BAND_GAIN / (frames * BAND_SPLIT_BIN)
+    per_bin[BAND_SPLIT_BIN:] = -BAND_GAIN / (frames * (bins - BAND_SPLIT_BIN))
     w[:, VOICE_CLASS] = np.tile(per_bin, frames)
-    b = np.array([0.0, -gain * margin], dtype=np.float32)
+    b = np.array([0.0, -BAND_GAIN * BAND_MARGIN], dtype=np.float32)
     return VoiceModel(
         layers=[Flatten(), Dense(w, b, relu=False)],
         input_shape=input_shape,

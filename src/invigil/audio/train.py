@@ -7,6 +7,7 @@ can be scheduled in any order with identical results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -47,6 +48,14 @@ class TrainingConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("batch_size", "max_epochs", "patience"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "val_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("learning_rate, batch_size and max_epochs must be positive")
         if self.patience < 1:
@@ -134,7 +143,8 @@ def _loss_and_grad(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray
     return loss, (dlogits / n).astype(logits.dtype)
 
 
-def _batched_logits(model: VoiceModel, x: np.ndarray, chunk: int = 64) -> np.ndarray:
+def _batched_logits(model: VoiceModel, x: np.ndarray) -> np.ndarray:
+    chunk = 64  # windows per forward pass, which bounds the activations held at once
     parts = [model.forward(x[i : i + chunk]) for i in range(0, x.shape[0], chunk)]
     return np.concatenate(parts, axis=0)
 

@@ -68,7 +68,7 @@ def _load_cfg_overrides(path: str | None) -> tuple[dict, dict]:
 def _training_config(audio: dict) -> TrainingConfig:
     try:
         return TrainingConfig(**audio)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise BadConfig(f"bad audio hyperparameters: {exc}") from exc
 
 
@@ -104,7 +104,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = EngineConfig()
     _print_effective(cfg, spec.seed)
     log, gt = generate_session(spec, cfg)
-    report = run_session(log, cfg)
+    report = run_session(log)
     metrics = evaluate_reports([report], [gt])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import EngineError
-from .objectgate import DEFAULT_IOU_THRESHOLDS, DeviceThresholds
+from .facematch import DEFAULT_FACE_THRESHOLD
+from .objectgate import DEFAULT_IOU_THRESHOLDS, DEFAULT_PERSON_SCORE_MIN, DeviceThresholds
 
 
 class BadConfig(EngineError):
@@ -63,9 +64,9 @@ class EngineConfig:
     than absence_long_ms) schedules an identity recheck on return.
     """
 
-    face_threshold: float = 0.6
+    face_threshold: float = DEFAULT_FACE_THRESHOLD
     device_thresholds: DeviceThresholds = field(default_factory=DeviceThresholds)
-    person_score_min: float = 0.5
+    person_score_min: float = DEFAULT_PERSON_SCORE_MIN
     absence_long_ms: int = 10_000
     absence_recheck_min_ms: int = 5_000
     evidence_clip_ms: int = 5_000

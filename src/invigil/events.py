@@ -239,7 +239,8 @@ def _expect(record: dict, key: str) -> Any:
 
 # These three checks stay in the parser because the value types would
 # silently coerce what they reject: a bool or a float to an int, a bool or
-# a numeric string to a float, any object to a string.
+# a numeric string to a float, any object to a string. The detection-dataset
+# and scenario readers check their numbers with them too.
 
 
 def _as_int(value: Any, what: str) -> int:

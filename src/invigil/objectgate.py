@@ -240,12 +240,6 @@ def evaluate_dataset(
     )
 
 
-def _box_from_record(rec: Mapping) -> BoundingBox:
-    return BoundingBox(
-        x=float(rec["x"]), y=float(rec["y"]), w=float(rec["w"]), h=float(rec["h"])
-    )
-
-
 def read_detection_dataset(
     path: str | Path,
 ) -> Iterator[tuple[str, list[GtItem], list[PredItem]]]:
@@ -253,9 +247,21 @@ def read_detection_dataset(
 
     Each line is a JSON record {"frame_id", "gt": [{"class", "box"}],
     "pred": [{"class", "box", "score"}]} with boxes as {"x","y","w","h"}.
-    Yields (frame_id, gt, pred) tuples.
+    Box values and scores must be JSON numbers, checked as a session log's
+    are: by `BoundingBox` and `check_score`. Yields (frame_id, gt, pred)
+    tuples.
     """
-    from .config import decode_json  # config imports this module
+    # imported here because both modules import this one
+    from .config import decode_json
+    from .events import _as_number
+
+    def box(rec: Mapping) -> BoundingBox:
+        return BoundingBox(*(_as_number(rec[k], f"box.{k}") for k in "xywh"))
+
+    def score(value: object) -> float:
+        value = _as_number(value, "score")
+        check_score(value)
+        return value
 
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -265,14 +271,11 @@ def read_detection_dataset(
             try:
                 rec = decode_json(line)
                 frame_id = str(rec["frame_id"])
-                gt = [
-                    (str(item["class"]), _box_from_record(item["box"]))
-                    for item in rec.get("gt", [])
-                ]
+                gt = [(str(item["class"]), box(item["box"])) for item in rec.get("gt", [])]
                 pred = [
-                    (str(item["class"]), _box_from_record(item["box"]), float(item["score"]))
+                    (str(item["class"]), box(item["box"]), score(item["score"]))
                     for item in rec.get("pred", [])
                 ]
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            except (EngineError, KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise EngineError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
             yield frame_id, gt, pred

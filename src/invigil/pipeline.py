@@ -46,7 +46,7 @@ class SessionLabel(str, Enum):
     SUSPECT = "Suspect"
 
 
-_DEVICE_FLAG_KINDS = {
+DEVICE_FLAG_KINDS = {
     DeviceVerdict.GENERAL_SUSPICIOUS: FlagKind.GENERAL_SUSPICIOUS,
     DeviceVerdict.PHONE_DETECTION: FlagKind.PHONE_DETECTION,
 }
@@ -143,21 +143,17 @@ class PipelineState:
         return cls(references=references)
 
 
-def _flag(
-    state: PipelineState, kind: FlagKind, t_ms: int, cfg: EngineConfig, **detail
-) -> FlagEvent:
+def _flag(state: PipelineState, kind: FlagKind, t_ms: int, cfg: EngineConfig, **detail) -> None:
     """Record a flag of `kind` at `t_ms` with its evidence-clip request starting then."""
     clip = EvidenceClipRequest(start_t_ms=t_ms, duration_ms=cfg.evidence_clip_ms, flag_kind=kind)
-    flag = FlagEvent(kind=kind, t_ms=t_ms, clip_request=clip, **detail)
-    state.flags.append(flag)
-    return flag
+    state.flags.append(FlagEvent(kind=kind, t_ms=t_ms, clip_request=clip, **detail))
 
 
-def _close_absence(state: PipelineState, t_ms: int, cfg: EngineConfig, new: list[FlagEvent]) -> None:
+def _close_absence(state: PipelineState, t_ms: int, cfg: EngineConfig) -> None:
     duration = t_ms - state.absence_since_ms
     state.absence_since_ms = None
     if duration > cfg.absence_long_ms:
-        new.append(_flag(state, FlagKind.CANDIDATE_ABSENCE, t_ms, cfg, duration_ms=duration))
+        _flag(state, FlagKind.CANDIDATE_ABSENCE, t_ms, cfg, duration_ms=duration)
     elif duration > cfg.absence_recheck_min_ms:
         state.pending_identity_recheck = True
     if cfg.recheck_on_any_return:
@@ -166,8 +162,7 @@ def _close_absence(state: PipelineState, t_ms: int, cfg: EngineConfig, new: list
 
 def _step_frame(
     state: PipelineState, ev: SensorEvent, payload: FrameDetections, cfg: EngineConfig
-) -> list[FlagEvent]:
-    new: list[FlagEvent] = []
+) -> None:
     persons = person_count(payload.detections, cfg.person_score_min)
 
     # Presence / absence bookkeeping. The gap runs from the last frame
@@ -179,14 +174,14 @@ def _step_frame(
             state.absence_since_ms = anchor
     else:
         if state.absence_since_ms is not None:
-            _close_absence(state, ev.t_ms, cfg, new)
+            _close_absence(state, ev.t_ms, cfg)
         state.last_present_t_ms = ev.t_ms
 
     # Second person alongside the candidate: one flag per contiguous run.
     if persons >= 2:
         if not state.in_multi_person:
             state.in_multi_person = True
-            new.append(_flag(state, FlagKind.MULTIPLE_PERSONS, ev.t_ms, cfg, person_count=persons))
+            _flag(state, FlagKind.MULTIPLE_PERSONS, ev.t_ms, cfg, person_count=persons)
     else:
         state.in_multi_person = False
 
@@ -208,7 +203,7 @@ def _step_frame(
         state.device_flag_index = None
     elif state.device_flag_index is None:
         state.device_flag_index = len(state.flags)
-        new.append(_flag(state, _DEVICE_FLAG_KINDS[verdict], ev.t_ms, cfg, score=best_score))
+        _flag(state, DEVICE_FLAG_KINDS[verdict], ev.t_ms, cfg, score=best_score)
     else:
         open_flag = state.flags[state.device_flag_index]
         if best_score > open_flag.score:
@@ -221,19 +216,17 @@ def _step_frame(
                 score=best_score,
                 clip_request=dataclasses.replace(open_flag.clip_request, flag_kind=kind),
             )
-    return new
 
 
 def _step_embedding(
     state: PipelineState, ev: SensorEvent, payload: FaceEmbeddingPayload, cfg: EngineConfig
-) -> list[FlagEvent]:
+) -> None:
     if not state.pending_identity_recheck:
-        return []
+        return
     state.pending_identity_recheck = False
     decision = classify_identity(payload.embedding, state.references, cfg.face_threshold)
-    if decision.verdict is Verdict.CLEAN:
-        return []
-    return [_flag(state, FlagKind.ANOTHER_PERSON, ev.t_ms, cfg, distance=decision.min_distance)]
+    if decision.verdict is not Verdict.CLEAN:
+        _flag(state, FlagKind.ANOTHER_PERSON, ev.t_ms, cfg, distance=decision.min_distance)
 
 
 def _step_audio(
@@ -241,11 +234,9 @@ def _step_audio(
     ev: SensorEvent,
     payload: AudioWindowPayload,
     cfg: EngineConfig,
-    voice_model: VoiceModel | None,
+    voice_model: VoiceModel,
     workspace: WindowWorkspace | None,
-) -> list[FlagEvent]:
-    if voice_model is None:
-        return []
+) -> None:
     if payload.samples is None:
         raise AudioIntegrityError(
             f"audio window at t={ev.t_ms} references {payload.path!r}; "
@@ -256,40 +247,36 @@ def _step_audio(
     prob = classify_window(spec, voice_model, workspace=workspace)
     if prob <= cfg.voice_threshold:
         state.in_voice_run = False
-        return []
-    if state.in_voice_run:
-        return []
-    state.in_voice_run = True
-    return [_flag(state, FlagKind.VOICE_DETECTION, ev.t_ms, cfg, score=prob)]
+    elif not state.in_voice_run:
+        state.in_voice_run = True
+        _flag(state, FlagKind.VOICE_DETECTION, ev.t_ms, cfg, score=prob)
 
 
 def step(
     state: PipelineState,
     ev: SensorEvent,
     cfg: EngineConfig,
-    voice_model: VoiceModel | None = None,
+    voice_model: VoiceModel,
     workspace: WindowWorkspace | None = None,
-) -> tuple[PipelineState, list[FlagEvent]]:
+) -> None:
     """Advance the state machine by one event.
 
-    Mutates and returns the same state object together with the flags
-    this event emitted. An audio window is analysed in `workspace` when
-    one is given (see `replay_events`). Events must arrive in
-    non-decreasing t_ms; the fold does not check this. Order is checked
-    where events enter the engine: by the log parser (before the
-    frame-rate cap, which could drop an out-of-order frame) and by
-    `SessionLog` for in-memory logs.
+    Mutates `state`; the flags so far are in `state.flags`, where a device
+    flag is upgraded in place while its run lasts. An audio window is
+    classified by `voice_model`, in `workspace` when one is given (see
+    `replay_events`). Events must arrive in non-decreasing t_ms; the fold
+    does not check this. Order is checked where events enter the engine:
+    by the log parser (before the frame-rate cap, which could drop an
+    out-of-order frame) and by `SessionLog` for in-memory logs.
     """
     if ev.kind is EventKind.FRAME_DETECTIONS:
-        new = _step_frame(state, ev, ev.payload, cfg)
+        _step_frame(state, ev, ev.payload, cfg)
     elif ev.kind is EventKind.FACE_EMBEDDING:
-        new = _step_embedding(state, ev, ev.payload, cfg)
+        _step_embedding(state, ev, ev.payload, cfg)
     elif ev.kind is EventKind.AUDIO_WINDOW:
-        new = _step_audio(state, ev, ev.payload, cfg, voice_model, workspace)
-    else:
-        new = []  # FrameImage: evidence imagery only; no rule reads it
+        _step_audio(state, ev, ev.payload, cfg, voice_model, workspace)
+    # FrameImage: evidence imagery only; no rule reads it
     state.last_event_t_ms = ev.t_ms
-    return state, new
 
 
 def finalize_report(state: PipelineState, session_id: str, cfg: EngineConfig) -> SessionReport:
@@ -342,23 +329,19 @@ def replay_events(
     return finalize_report(state, session_id, cfg)
 
 
-def run_session(
-    log: SessionLog,
-    cfg: EngineConfig | None = None,
-    voice_model: VoiceModel | None = None,
-) -> SessionReport:
+def run_session(log: SessionLog, voice_model: VoiceModel | None = None) -> SessionReport:
     """Replay one full in-memory session log and return its report.
 
-    Uses the log's embedded config when none is given and the same voice
-    classifier default as `analyze`. The log is replayed as-is, and
-    errors name the event's index in it; apply resample_frames first when
-    the source may exceed the frame-rate cap.
+    Uses the log's embedded config and the same voice classifier default
+    as `analyze`. The log is replayed as-is, and errors name the event's
+    index in it; apply resample_frames first when the source may exceed
+    the frame-rate cap.
     """
     return replay_events(
         log.reference_embeddings,
         log.session_id,
         enumerate(log.events),
-        log.config if cfg is None else cfg,
+        log.config,
         voice_model,
         unit="event",
     )

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import EngineError
 
 DEFAULT_BLUR_RADIUS = 9
+MIN_KEYPOINTS = 4
 
 
 class DimensionMismatch(EngineError):
@@ -101,10 +102,8 @@ def keypoints_in_mask(mask: PersonMask, kp: FaceKeypoints) -> int:
     return count
 
 
-def attribute_candidate_mask(
-    masks: Sequence[PersonMask], kp: FaceKeypoints, min_points: int = 4
-) -> int | None:
-    """Pick the mask containing at least `min_points` of the five keypoints.
+def attribute_candidate_mask(masks: Sequence[PersonMask], kp: FaceKeypoints) -> int | None:
+    """Pick the mask containing at least MIN_KEYPOINTS of the five keypoints.
 
     Several qualifying masks resolve by most contained keypoints, then
     larger area, then lower mask_id. Returns the winning mask_id, or
@@ -122,7 +121,7 @@ def attribute_candidate_mask(
     best_id: int | None = None
     for mask in masks:
         count = keypoints_in_mask(mask, kp)
-        if count < min_points:
+        if count < MIN_KEYPOINTS:
             continue
         key = (count, mask.area, -mask.mask_id)
         if best is None or key > best:

@@ -33,14 +33,17 @@ from .events import (
     EventKind,
     FaceEmbeddingPayload,
     FrameDetections,
+    MalformedRecord,
     SensorEvent,
     SessionLog,
+    _as_int,
+    _as_number,
     pcm_bytes,
     pcm_samples,
 )
 from .facematch import EMBEDDING_DIM, Embedding, ReferenceSet
 from .objectgate import LAPTOP, PERSON, PHONE, BoundingBox, Detection, DeviceVerdict, gate_device_score
-from .pipeline import FlagKind, SessionLabel, SessionReport
+from .pipeline import DEVICE_FLAG_KINDS, FlagKind, SessionLabel, SessionReport
 
 EMBEDDING_PERIOD_MS = 2000
 AUDIO_WINDOW_MS = 1000
@@ -72,10 +75,6 @@ class EpisodeKind(str, Enum):
 
 
 _DEVICE_EPISODES = {EpisodeKind.PHONE_USE: PHONE, EpisodeKind.LAPTOP_USE: LAPTOP}
-_DEVICE_FLAGS = {
-    DeviceVerdict.GENERAL_SUSPICIOUS: FlagKind.GENERAL_SUSPICIOUS,
-    DeviceVerdict.PHONE_DETECTION: FlagKind.PHONE_DETECTION,
-}
 
 
 @dataclass(frozen=True)
@@ -142,24 +141,25 @@ class ScenarioSpec:
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
+    """The spec of a JSON scenario document; numbers must be JSON numbers of their field's kind."""
     if not isinstance(data, dict):
         raise InvalidSpec("bad scenario document: must be a JSON object")
     try:
         episodes = tuple(
             Episode(
                 kind=EpisodeKind(ep["kind"]),
-                start_ms=int(ep["start_ms"]),
-                length_ms=int(ep["length_ms"]),
-                intensity=float(ep.get("intensity", 0.9)),
+                start_ms=_as_int(ep["start_ms"], f"episodes[{i}].start_ms"),
+                length_ms=_as_int(ep["length_ms"], f"episodes[{i}].length_ms"),
+                intensity=_as_number(ep.get("intensity", 0.9), f"episodes[{i}].intensity"),
             )
-            for ep in data.get("episodes", [])
+            for i, ep in enumerate(data.get("episodes", []))
         )
         return ScenarioSpec(
-            duration_ms=int(data["duration_ms"]),
+            duration_ms=_as_int(data["duration_ms"], "duration_ms"),
             episodes=episodes,
-            seed=int(data.get("seed", 0)),
+            seed=_as_int(data.get("seed", 0), "seed"),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (MalformedRecord, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"bad scenario document: {exc}") from exc
 
 
@@ -402,7 +402,7 @@ def generate_session(spec: ScenarioSpec, cfg: EngineConfig | None = None) -> tup
             if device_hits.get(id(ep)):
                 verdict = gate_device_score(_DEVICE_EPISODES[ep.kind], ep.intensity, cfg.device_thresholds)
                 if verdict is not DeviceVerdict.NO_FLAG:
-                    windows.append(FlagWindow(kind=_DEVICE_FLAGS[verdict], start_ms=ep.start_ms, end_ms=ep.end_ms))
+                    windows.append(FlagWindow(kind=DEVICE_FLAG_KINDS[verdict], start_ms=ep.start_ms, end_ms=ep.end_ms))
         elif ep.kind is EpisodeKind.SECOND_PERSON:
             if multi_hits.get(id(ep)):
                 windows.append(FlagWindow(kind=FlagKind.MULTIPLE_PERSONS, start_ms=ep.start_ms, end_ms=ep.end_ms))
@@ -410,8 +410,6 @@ def generate_session(spec: ScenarioSpec, cfg: EngineConfig | None = None) -> tup
             t_return, gap = gap_for(ep, ep.start_ms, ep.end_ms)
             if gap > cfg.absence_long_ms:
                 windows.append(FlagWindow(kind=FlagKind.CANDIDATE_ABSENCE, start_ms=ep.start_ms, end_ms=t_return))
-            if cfg.recheck_on_any_return:
-                pass  # next periodic embedding is the candidate's; no flag
         elif ep.kind is EpisodeKind.IMPOSTOR_SWAP:
             t_return, gap = gap_for(ep, ep.start_ms, ep.start_ms + impostor_gaps[id(ep)])
             impostor = Embedding(values=centroid + IMPOSTOR_DISTANCE * _unit(rng))
@@ -517,11 +515,11 @@ _EPISODE_LENGTHS: dict[EpisodeKind, tuple[int, int]] = {
 }
 
 
-def random_scenario(
-    seed: int,
-    kinds: list[EpisodeKind] | None = None,
-    min_gap_ms: int = 2500,
-) -> ScenarioSpec:
+# Quiet time after each stock episode, so episodes stay well separated.
+_EPISODE_GAP_MS = 2500
+
+
+def random_scenario(seed: int, kinds: list[EpisodeKind] | None = None) -> ScenarioSpec:
     """A well-separated scenario with 2-4 injected episodes.
 
     Episode kinds, order, lengths, and gaps are drawn from the seed;
@@ -544,5 +542,5 @@ def random_scenario(
         else:
             intensity = round(float(rng.uniform(0.75, 0.95)), 3)
         episodes.append(Episode(kind=kind, start_ms=start, length_ms=length, intensity=intensity))
-        cursor = start + length + min_gap_ms
+        cursor = start + length + _EPISODE_GAP_MS
     return ScenarioSpec(duration_ms=cursor + 2000, episodes=tuple(episodes), seed=seed)

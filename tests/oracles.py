@@ -224,7 +224,7 @@ class MaxPool2Oracle:
             cache["x_shape"] = x.shape
         return patches.max(axis=3)
 
-    def backward(self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False):
+    def backward(self, dy: np.ndarray, cache: dict, need_dx: bool = True):
         n, h, w, c = cache["x_shape"]
         ht, wt = h // 2, w // 2
         dpatches = np.zeros((n, ht, wt, 4, c), dtype=dy.dtype)
@@ -259,8 +259,7 @@ class Conv2DOracle:
     making temporaries: a broadcast bias add into a fresh array, the ReLU
     into another, `sum(axis=0)` for the bias gradient and a fresh array for
     the input gradient's columns. It has the layer interface of the
-    package's conv (`consume` is accepted and ignored), so a model can be
-    built on it.
+    package's conv, so a model can be built on it.
     """
 
     kind = "conv2d"
@@ -296,7 +295,7 @@ class Conv2DOracle:
                 cache["mask"] = z > 0
         return y
 
-    def backward(self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False):
+    def backward(self, dy: np.ndarray, cache: dict, need_dx: bool = True):
         kh, kw, cin, cout = self.w.shape
         if self.relu:
             dy = dy * cache["mask"]
@@ -343,7 +342,7 @@ class DenseOracle:
                 cache["mask"] = z > 0
         return y
 
-    def backward(self, dy: np.ndarray, cache: dict, need_dx: bool = True, consume: bool = False):
+    def backward(self, dy: np.ndarray, cache: dict, need_dx: bool = True):
         if self.relu:
             dy = dy * cache["mask"]
         dw = cache["x"].T @ dy

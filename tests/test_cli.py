@@ -491,6 +491,48 @@ _BIG_INT = "1" + "0" * 400
             "EngineError",
             "{path}:1: bad dataset record: integer with 401 digits is beyond the float64 range",
         ),
+        # numbers are JSON numbers, as in a session log; before, each of these
+        # was coerced and the command exited 0
+        *(
+            ("simulate", '{"duration_ms": 15000, "episodes": [' + episode + "]" + seed + "}", "InvalidSpec", message)
+            for episode, seed, message in [
+                (
+                    '{"kind": "phone_use", "start_ms": 3000.9, "length_ms": 4000}',
+                    "",
+                    "bad scenario document: episodes[0].start_ms must be an integer, got 3000.9",
+                ),
+                (
+                    '{"kind": "phone_use", "start_ms": 3000, "length_ms": "4000"}',
+                    "",
+                    "bad scenario document: episodes[0].length_ms must be an integer, got '4000'",
+                ),
+                (
+                    '{"kind": "phone_use", "start_ms": 3000, "length_ms": 4000}',
+                    ', "seed": true',
+                    "bad scenario document: seed must be an integer, got True",
+                ),
+                (
+                    '{"kind": "phone_use", "start_ms": 3000, "length_ms": 4000, "intensity": "0.9"}',
+                    "",
+                    "bad scenario document: episodes[0].intensity must be a number, got '0.9'",
+                ),
+            ]
+        ),
+        *(
+            (
+                "eval-objects",
+                '{"frame_id": "f", "gt": [{"class": "person", "box": ' + gt_box + '}], '
+                '"pred": [{"class": "person", "box": {"x": 0, "y": 0, "w": 9, "h": 9}, "score": ' + score + "}]}",
+                "EngineError",
+                "{path}:1: bad dataset record: " + message,
+            )
+            for gt_box, score, message in [
+                ('{"x": "0", "y": 0, "w": 9, "h": 9}', "0.9", "box.x must be a number, got '0'"),
+                ('{"x": 0, "y": true, "w": 9, "h": 9}', "0.9", "box.y must be a number, got True"),
+                ('{"x": 0, "y": 0, "w": 9, "h": 9}', '"NaN"', "score must be a number, got 'NaN'"),
+                ('{"x": 0, "y": 0, "w": 9, "h": 9}', "7.5", "detection score must be in [0, 1], got 7.5"),
+            ]
+        ),
     ],
 )
 def test_json_readers_turn_bad_input_into_one_error_record(assets, tmp_path, command, text, error, message):
@@ -828,6 +870,33 @@ def test_train_voice_bad_audio_key_exits_one(assets, tmp_path):
     )
     assert proc.returncode == 1
     assert json.loads(proc.stderr.strip())["error"] == "BadConfig"
+
+
+@pytest.mark.parametrize(
+    "audio, message",
+    [
+        ('{"batch_size": 2.5}', "batch_size must be an integer, got 2.5"),
+        ('{"batch_size": true}', "batch_size must be an integer, got True"),
+        ('{"max_epochs": true}', "max_epochs must be an integer, got True"),
+        ('{"patience": 2.0}', "patience must be an integer, got 2.0"),
+        ('{"learning_rate": Infinity}', "learning_rate must be a finite number, got inf"),
+        ('{"learning_rate": true}', "learning_rate must be a finite number, got True"),
+        ('{"val_fraction": NaN}', "val_fraction must be a finite number, got nan"),
+        ('{"val_fraction": 1.5}', "val_fraction must lie in (0, 1)"),
+    ],
+)
+def test_train_voice_bad_hyperparameter_is_bad_config(assets, tmp_path, audio, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"audio": ' + audio + "}")
+    argv = [
+        "train-voice", "--corpus", str(assets / "corpus"), "--manifest", str(assets / "manifest.jsonl"),
+        "--out-model", str(tmp_path / "m.ivm"), "--config", str(cfg),
+    ]
+    code, records = _run_in_process(argv)
+    assert code == 1
+    (record,) = records
+    assert json.loads(record) == {"error": "BadConfig", "message": f"bad audio hyperparameters: {message}"}
+    assert not (tmp_path / "m.ivm").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,10 @@ CFG = EngineConfig()
 VOICE = band_contrast_model()
 
 
-def _replay(events, refs, cfg=CFG, voice_model=None):
+def _replay(events, refs, cfg=CFG):
     state = PipelineState.initial(refs)
     for ev in events:
-        step(state, ev, cfg, voice_model)
+        step(state, ev, cfg, VOICE)
     return finalize_report(state, "test", cfg)
 
 
@@ -114,7 +114,7 @@ def test_two_persons_flags_multiple_persons(identity):
 def test_voiced_window_flags_voice_detection(identity, audio_pool):
     _, refs = identity
     events = [frame_event(0), audio_event(1000, audio_pool["voiced"]), frame_event(2000)]
-    report = _replay(events, refs, voice_model=VOICE)
+    report = _replay(events, refs)
     assert [f.kind for f in report.flags] == [FlagKind.VOICE_DETECTION]
     flag = report.flags[0]
     assert flag.t_ms == 1000
@@ -129,7 +129,7 @@ def test_uneventful_session_is_clean(identity, audio_pool):
         frame_event(1000),
         frame_event(2000),
     ]
-    report = _replay(events, refs, voice_model=VOICE)
+    report = _replay(events, refs)
     assert report.flags == ()
     assert report.final_label is SessionLabel.CLEAN
 
@@ -143,7 +143,7 @@ def test_every_flag_carries_a_clip_request(identity, audio_pool):
         + [frame_event(12500), emb_event(12600, -centroid)]
     )
     cfg = EngineConfig(recheck_on_any_return=True)
-    report = _replay(events, refs, cfg=cfg, voice_model=VOICE)
+    report = _replay(events, refs, cfg=cfg)
     kinds = {f.kind for f in report.flags}
     assert kinds == {
         FlagKind.MULTIPLE_PERSONS,
@@ -342,16 +342,9 @@ def test_voice_debounce(identity, audio_pool):
         audio_event(2000, audio_pool["unvoiced"]),
         audio_event(3000, audio_pool["voiced"]),
     ]
-    report = _replay(events, refs, voice_model=VOICE)
+    report = _replay(events, refs)
     assert [f.t_ms for f in report.flags] == [0, 3000]
     assert all(f.kind is FlagKind.VOICE_DETECTION for f in report.flags)
-
-
-def test_audio_ignored_without_voice_model(identity, audio_pool):
-    _, refs = identity
-    events = [audio_event(0, audio_pool["voiced"])]
-    report = _replay(events, refs, voice_model=None)
-    assert report.flags == ()
 
 
 def test_replay_analyses_every_window_in_one_workspace(identity, audio_pool, monkeypatch):
@@ -395,8 +388,8 @@ def test_band_model_audio_step_allocates_little_after_the_first_window(identity,
 def test_equal_timestamps_step_fine(identity):
     _, refs = identity
     state = PipelineState.initial(refs)
-    step(state, frame_event(1000), CFG)
-    step(state, frame_event(1000, persons=2), CFG)
+    step(state, frame_event(1000), CFG, VOICE)
+    step(state, frame_event(1000, persons=2), CFG, VOICE)
     assert len(state.flags) == 1
 
 
@@ -447,7 +440,7 @@ def test_flag_count_never_decreases(identity, rng):
         state = PipelineState.initial(refs)
         prev = 0
         for ev in log.events:
-            step(state, ev, log.config)
+            step(state, ev, log.config, VOICE)
             assert len(state.flags) >= prev
             prev = len(state.flags)
 
@@ -465,9 +458,9 @@ def test_split_replay_equivalence(identity, rng):
         split = int(rng.integers(0, len(log.events) + 1))
         state = PipelineState.initial(refs)
         for ev in log.events[:split]:
-            step(state, ev, log.config)
+            step(state, ev, log.config, VOICE)
         for ev in log.events[split:]:
-            step(state, ev, log.config)
+            step(state, ev, log.config, VOICE)
         resumed = report_to_json(finalize_report(state, log.session_id, log.config))
         assert whole == resumed
 

@@ -90,7 +90,7 @@ def test_scenario_duration_is_bounded():
 
 @pytest.mark.parametrize(
     "doc, message",
-    [([], "must be a JSON object"), ({"duration_ms": float("inf")}, "cannot convert float infinity")],
+    [([], "must be a JSON object"), ({"duration_ms": float("inf")}, "duration_ms must be an integer, got inf")],
 )
 def test_scenario_from_dict_rejects_non_objects_and_infinity(doc, message):
     with pytest.raises(InvalidSpec, match=message):
