@@ -74,8 +74,8 @@ def main() -> int:
             fh.write(json.dumps({"frame_id": f"f{i:04d}", "gt": gt, "pred": pred}) + "\n")
     print(f"wrote {args.out} ({args.frames} frames)")
 
-    frames = [(gt, pred) for _, gt, pred in read_detection_dataset(args.out)]
     cfg = EngineConfig()
+    frames = [(gt, pred) for _, gt, pred in read_detection_dataset(args.out, cfg.iou_thresholds)]
     table = evaluate_dataset(frames, cfg.iou_thresholds)
     print(json.dumps(table.to_dict(), indent=2, sort_keys=True))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EngineError
+from ..errors import EngineError, arrays_eq
 
 DEFAULT_FRAME_LEN = 512
 DEFAULT_HOP = 256
@@ -41,12 +41,7 @@ class PcmWindow:
             )
         object.__setattr__(self, "samples", arr)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PcmWindow):
-            return NotImplemented
-        return self.sample_rate == other.sample_rate and bool(
-            np.array_equal(self.samples, other.samples)
-        )
+    __eq__ = arrays_eq
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,18 +63,11 @@ class Spectrogram:
             )
         object.__setattr__(self, "magnitudes", arr)
 
+    __eq__ = arrays_eq
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.magnitudes.shape  # type: ignore[return-value]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Spectrogram):
-            return NotImplemented
-        return (
-            self.frame_len == other.frame_len
-            and self.hop == other.hop
-            and bool(np.array_equal(self.magnitudes, other.magnitudes))
-        )
 
     def model_input(self, out: np.ndarray | None = None) -> np.ndarray:
         """Log-compressed magnitudes, log(1 + m), as fed to the classifier.

@@ -7,17 +7,15 @@ can be scheduled in any order with identical results.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ..config import decode_json
-from ..errors import EngineError
+from ..errors import EngineError, as_finite, as_int, as_str, decode_json
 from ..events import pcm_samples
-from .dsp import DEFAULT_FRAME_LEN, DEFAULT_HOP, PcmWindow, Spectrogram, stft_spectrogram
+from .dsp import PcmWindow, Spectrogram, stft_spectrogram
 from .model import ShapeMismatch, VoiceModel, default_voice_model, softmax
 
 LABEL_VOICE = "voice"
@@ -49,13 +47,9 @@ class TrainingConfig:
 
     def __post_init__(self) -> None:
         for name in ("batch_size", "max_epochs", "patience"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            as_int(getattr(self, name), name)
         for name in ("learning_rate", "val_fraction"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            as_finite(getattr(self, name), name)
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("learning_rate, batch_size and max_epochs must be positive")
         if self.patience < 1:
@@ -350,10 +344,10 @@ def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[tuple
                 continue
             try:
                 rec = decode_json(line)
-                rel = str(rec["path"])
-                label = str(rec["label"])
-                rate = int(rec.get("sample_rate", 16_000))
-            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+                rel = as_str(rec["path"], "path")
+                label = as_str(rec["label"], "label")
+                rate = as_int(rec.get("sample_rate", 16_000), "sample_rate")
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise EngineError(f"{manifest_path}:{lineno}: bad manifest record: {exc}") from exc
             if label not in _LABEL_INDEX:
                 raise EngineError(

@@ -172,7 +172,7 @@ def _cmd_cv_voice(args: argparse.Namespace) -> int:
 def _cmd_eval_objects(args: argparse.Namespace) -> int:
     overrides, _ = _load_cfg_overrides(args.config)
     cfg = EngineConfig().merged(overrides)
-    frames = [(gt, pred) for _, gt, pred in read_detection_dataset(args.dataset)]
+    frames = [(gt, pred) for _, gt, pred in read_detection_dataset(args.dataset, cfg.iou_thresholds)]
     table = evaluate_dataset(frames, cfg.iou_thresholds)
     _print_effective(cfg, None)
     print(json.dumps(table.to_dict(), sort_keys=True))

@@ -8,40 +8,17 @@ from a config file. Unknown keys in config files are rejected.
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .errors import EngineError
+from .errors import EngineError, as_finite, as_int, decode_json
 from .facematch import DEFAULT_FACE_THRESHOLD
 from .objectgate import DEFAULT_IOU_THRESHOLDS, DEFAULT_PERSON_SCORE_MIN, DeviceThresholds
 
 
 class BadConfig(EngineError):
     """A config file or embedded config snapshot violates the schema."""
-
-
-def _float64_int(text: str) -> int:
-    value = int(text)
-    if abs(value) > sys.float_info.max:
-        raise ValueError(f"integer with {len(text)} digits is beyond the float64 range")
-    return value
-
-
-# Every number the engine reads ends up a float64, so JSON input is decoded
-# with integers beyond that range turned away as a ValueError, like invalid
-# JSON, rather than left to overflow in a later float(). Nesting past the
-# recursion limit raises RecursionError; callers catch both.
-decode_json = json.JSONDecoder(parse_int=_float64_int).decode
-
-
-def _finite_number(value: Any, name: str) -> Any:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise BadConfig(f"{name} must be a finite number, got {value!r}")
-    return value
 
 
 _NUMBER_FIELDS = ("face_threshold", "person_score_min", "max_fps", "voice_threshold")
@@ -81,11 +58,9 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         for name in _NUMBER_FIELDS:
-            _finite_number(getattr(self, name), name)
+            as_finite(getattr(self, name), name, BadConfig)
         for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise BadConfig(f"{name} must be an integer, got {value!r}")
+            as_int(getattr(self, name), name, BadConfig)
         if self.face_threshold <= 0:
             raise BadConfig("face_threshold must be positive")
         if not (0.0 <= self.person_score_min <= 1.0):
@@ -145,8 +120,8 @@ def _config_from_dict(data: Mapping[str, Any]) -> EngineConfig:
             raise BadConfig(f"unknown device_thresholds keys: {sorted(extra)}")
         try:
             values["device_thresholds"] = DeviceThresholds(
-                low=float(_finite_number(dt["low"], "device_thresholds.low")),
-                high=float(_finite_number(dt["high"], "device_thresholds.high")),
+                low=as_finite(dt["low"], "device_thresholds.low", BadConfig),
+                high=as_finite(dt["high"], "device_thresholds.high", BadConfig),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise BadConfig(f"bad device_thresholds: {exc}") from exc
@@ -155,7 +130,7 @@ def _config_from_dict(data: Mapping[str, Any]) -> EngineConfig:
         if not isinstance(it, Mapping):
             raise BadConfig("iou_thresholds must be a mapping of class to threshold")
         values["iou_thresholds"] = {
-            str(k): float(_finite_number(v, f"iou threshold for {k!r}")) for k, v in it.items()
+            str(k): as_finite(v, f"iou threshold for {k!r}", BadConfig) for k, v in it.items()
         }
     try:
         return EngineConfig(**values)

@@ -25,11 +25,12 @@ Each check is written once. The types own the value checks: `SensorEvent`
 the timestamp and the payload type, `AudioWindowPayload` the 16 kHz rate
 and the samples, `Embedding` and `ReferenceSet` shape and finiteness,
 `BoundingBox` and `Detection` the extent and score (`objectgate.check_box`
-and `check_score`). The parser adds what JSON needs on top (present keys,
-and JSON types where a constructor would coerce a bool, float or string)
-and re-raises whatever a check raises as a `MalformedRecord` that names
-the line. The decoder turns away integers beyond the float64 range and
-over-deep nesting.
+and `check_score`). The parser adds what JSON needs on top: present keys,
+and JSON types where a constructor would coerce a bool, float or string,
+checked with `errors.as_int`, `as_number`, `as_str` and `as_object`, which
+the other JSON readers use too. It re-raises whatever a check raises as a
+`MalformedRecord` that names the line. The decoder, `errors.decode_json`,
+turns away integers beyond the float64 range and over-deep nesting.
 
 Each event line is taken in this order: its kind; its payload, checked
 field by field; its `t_ms`; its order against the line before; and last
@@ -61,8 +62,8 @@ from typing import Any, Callable, Iterable, Iterator, Union
 
 import numpy as np
 
-from .config import EngineConfig, config_from_dict, decode_json
-from .errors import EngineError
+from .config import EngineConfig, config_from_dict
+from .errors import EngineError, arrays_eq, as_int, as_number, as_object, as_str, decode_json
 from .facematch import Embedding, ReferenceSet
 from .objectgate import BoundingBox, Detection, check_box, check_score
 
@@ -108,9 +109,7 @@ def _event_kind(raw: Any) -> EventKind:
 
 
 def _check_t_ms(t_ms: Any) -> None:
-    if not isinstance(t_ms, int) or isinstance(t_ms, bool):
-        raise ValueError(f"t_ms must be an integer, got {t_ms!r}")
-    if t_ms < 0:
+    if as_int(t_ms, "t_ms") < 0:
         raise ValueError(f"t_ms must be non-negative, got {t_ms}")
 
 
@@ -156,22 +155,11 @@ class AudioWindowPayload:
                 raise ValueError("audio samples must be finite")
             object.__setattr__(self, "samples", arr)
 
+    __eq__ = arrays_eq
+
     @property
     def inline(self) -> bool:
         return self.samples is not None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AudioWindowPayload):
-            return NotImplemented
-        if (self.sample_rate, self.path, self.sha256) != (
-            other.sample_rate,
-            other.path,
-            other.sha256,
-        ):
-            return False
-        if (self.samples is None) != (other.samples is None):
-            return False
-        return self.samples is None or bool(np.array_equal(self.samples, other.samples))
 
 
 @dataclass(frozen=True)
@@ -237,71 +225,41 @@ def _expect(record: dict, key: str) -> Any:
     return record[key]
 
 
-# These three checks stay in the parser because the value types would
-# silently coerce what they reject: a bool or a float to an int, a bool or
-# a numeric string to a float, any object to a string. The detection-dataset
-# and scenario readers check their numbers with them too.
-
-
-def _as_int(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedRecord(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _as_number(value: Any, what: str) -> float:
-    if type(value) not in (float, int):  # a bool's type is bool
-        raise MalformedRecord(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_str(value: Any, what: str) -> str:
-    if not isinstance(value, str):
-        raise MalformedRecord(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _as_object(value: Any, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise MalformedRecord(f"{what} must be an object")
-    return value
-
-
 def _check_detections(items: Any) -> None:
     """Check a frame's detection records the way `_detection` reads them, building nothing.
 
     Each record's fields are checked in the order class, score, box.x,
     .y, .w, .h, then its box values and score range, so a frame with
     several faults reports the first of them. The type tests and the
-    score range are inlined; where one fails, the `_as_*` helper or
+    score range are inlined; where one fails, the `errors.as_*` check or
     `check_score` that owns the message raises it.
     """
     if type(items) is not list:
         raise MalformedRecord("detections must be a list")
     for item in items:
         if type(item) is not dict:
-            _as_object(item, "detection")
+            as_object(item, "detection")
         try:
             if type(item["class"]) is not str:
-                _as_str(item["class"], "detection class")
+                as_str(item["class"], "detection class")
             score = item["score"]
             if type(score) is not float:
-                score = _as_number(score, "score")
+                score = as_number(score, "score")
             box = item["box"]
             if type(box) is not dict:
-                _as_object(box, "box")
+                as_object(box, "box")
             x = box["x"]
             if type(x) is not float:
-                x = _as_number(x, "box.x")
+                x = as_number(x, "box.x")
             y = box["y"]
             if type(y) is not float:
-                y = _as_number(y, "box.y")
+                y = as_number(y, "box.y")
             w = box["w"]
             if type(w) is not float:
-                w = _as_number(w, "box.w")
+                w = as_number(w, "box.w")
             h = box["h"]
             if type(h) is not float:
-                h = _as_number(h, "box.h")
+                h = as_number(h, "box.h")
         except KeyError as exc:
             raise MalformedRecord(f"missing key {exc.args[0]!r}") from None
         check_box(x, y, w, h)
@@ -346,15 +304,15 @@ def _parse_payload(kind: EventKind, payload: dict) -> Payload:
     """The payload of a non-frame event: a face embedding or an audio window."""
     if kind is EventKind.FACE_EMBEDDING:
         return FaceEmbeddingPayload(embedding=Embedding(_expect(payload, "embedding")))
-    rate = _as_int(payload.get("sample_rate", DEFAULT_SAMPLE_RATE), "sample_rate")
+    rate = as_int(payload.get("sample_rate", DEFAULT_SAMPLE_RATE), "sample_rate")
     samples = payload.get("samples")
     if samples is not None:  # inline samples win; a path beside them is ignored
         return AudioWindowPayload(sample_rate=rate, samples=_as_samples(samples))
     path, sha = payload.get("path"), payload.get("sha256")
     return AudioWindowPayload(
         sample_rate=rate,
-        path=None if path is None else _as_str(path, "audio path"),
-        sha256=None if sha is None else _as_str(sha, "audio sha256"),
+        path=None if path is None else as_str(path, "audio path"),
+        sha256=None if sha is None else as_str(sha, "audio sha256"),
     )
 
 
@@ -416,12 +374,12 @@ def _events(
             kind = _event_kind(_expect(rec, "kind"))
             payload = _expect(rec, "payload")
             if type(payload) is not dict:
-                _as_object(payload, "payload")
+                as_object(payload, "payload")
             if kind is detections:
                 items = _expect(payload, "detections")
                 _check_detections(items)
             elif kind is image:
-                _as_str(_expect(payload, "path"), "image path")
+                as_str(_expect(payload, "path"), "image path")
             else:
                 payload = _parse_payload(kind, payload)
             t_ms = _expect(rec, "t_ms")
@@ -463,8 +421,8 @@ def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
             f"line {lineno}: first record must be the header, got kind {header.get('kind')!r}"
         )
     try:
-        session_id = _as_str(_expect(header, "session_id"), "session_id")
-        config = config_from_dict(_as_object(header.get("config", {}), "config"))
+        session_id = as_str(_expect(header, "session_id"), "session_id")
+        config = config_from_dict(as_object(header.get("config", {}), "config"))
     except _RECORD_ERRORS as exc:
         raise MalformedRecord(f"line {lineno}: {exc}") from exc
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EngineError
+from .errors import EngineError, arrays_eq
 
 EMBEDDING_DIM = 128
 DEFAULT_FACE_THRESHOLD = 0.6
@@ -53,10 +53,7 @@ class Embedding:
             raise NonFiniteInput("embedding contains non-finite components")
         object.__setattr__(self, "values", arr)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Embedding):
-            return NotImplemented
-        return bool(np.array_equal(self.values, other.values))
+    __eq__ = arrays_eq
 
     def __hash__(self) -> int:  # frozen dataclass without field-based hash
         return hash(self.values.tobytes())
@@ -85,10 +82,7 @@ class ReferenceSet:
             raise NonFiniteInput("reference set contains non-finite components")
         object.__setattr__(self, "matrix", matrix)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReferenceSet):
-            return NotImplemented
-        return bool(np.array_equal(self.matrix, other.matrix))
+    __eq__ = arrays_eq
 
     def __len__(self) -> int:
         return self.matrix.shape[0]

@@ -15,7 +15,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import EngineError
+from .errors import EngineError, as_number, as_str, decode_json
 
 PERSON = "person"
 PHONE = "phone"
@@ -162,6 +162,13 @@ GtItem = tuple[str, BoundingBox]
 PredItem = tuple[str, BoundingBox, float]
 
 
+def check_classes(gt: Sequence[GtItem], iou_thresholds: Mapping[str, float], where: str) -> None:
+    """Raise MissingThreshold, prefixed by `where`, for a gt class with no IoU threshold."""
+    for cls, _ in gt:
+        if cls not in iou_thresholds:
+            raise MissingThreshold(f"{where}no IoU threshold for class {cls!r}")
+
+
 def match_frame(
     gt: Sequence[GtItem],
     pred: Sequence[PredItem],
@@ -174,9 +181,7 @@ def match_frame(
     highest IoU at or above that class's threshold. Returns
     (pred_index, gt_index) pairs.
     """
-    for cls, _ in gt:
-        if cls not in iou_thresholds:
-            raise MissingThreshold(f"no IoU threshold for class {cls!r}")
+    check_classes(gt, iou_thresholds, "")
     order = sorted(range(len(pred)), key=lambda i: -pred[i][2])
     used_gt: set[int] = set()
     matches: list[tuple[int, int]] = []
@@ -241,25 +246,23 @@ def evaluate_dataset(
 
 
 def read_detection_dataset(
-    path: str | Path,
+    path: str | Path, iou_thresholds: Mapping[str, float]
 ) -> Iterator[tuple[str, list[GtItem], list[PredItem]]]:
     """Read a line-delimited evaluation dataset.
 
     Each line is a JSON record {"frame_id", "gt": [{"class", "box"}],
     "pred": [{"class", "box", "score"}]} with boxes as {"x","y","w","h"}.
     Box values and scores must be JSON numbers, checked as a session log's
-    are: by `BoundingBox` and `check_score`. Yields (frame_id, gt, pred)
-    tuples.
+    are: by `BoundingBox` and `check_score`. A ground-truth class with no
+    entry in `iou_thresholds` raises MissingThreshold naming its line.
+    Yields (frame_id, gt, pred) tuples.
     """
-    # imported here because both modules import this one
-    from .config import decode_json
-    from .events import _as_number
 
     def box(rec: Mapping) -> BoundingBox:
-        return BoundingBox(*(_as_number(rec[k], f"box.{k}") for k in "xywh"))
+        return BoundingBox(*(as_number(rec[k], f"box.{k}") for k in "xywh"))
 
     def score(value: object) -> float:
-        value = _as_number(value, "score")
+        value = as_number(value, "score")
         check_score(value)
         return value
 
@@ -270,12 +273,13 @@ def read_detection_dataset(
                 continue
             try:
                 rec = decode_json(line)
-                frame_id = str(rec["frame_id"])
-                gt = [(str(item["class"]), box(item["box"])) for item in rec.get("gt", [])]
+                frame_id = as_str(rec["frame_id"], "frame_id")
+                gt = [(as_str(item["class"], "class"), box(item["box"])) for item in rec.get("gt", [])]
                 pred = [
-                    (str(item["class"]), box(item["box"]), score(item["score"]))
+                    (as_str(item["class"], "class"), box(item["box"]), score(item["score"]))
                     for item in rec.get("pred", [])
                 ]
             except (EngineError, KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise EngineError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
+            check_classes(gt, iou_thresholds, f"{path}:{lineno}: ")
             yield frame_id, gt, pred

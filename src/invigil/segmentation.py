@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EngineError
+from .errors import EngineError, arrays_eq
 
 DEFAULT_BLUR_RADIUS = 9
 MIN_KEYPOINTS = 4
@@ -44,10 +44,7 @@ class Frame:
     def width(self) -> int:
         return self.pixels.shape[1]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return bool(np.array_equal(self.pixels, other.pixels))
+    __eq__ = arrays_eq
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,10 +64,7 @@ class PersonMask:
     def area(self) -> int:
         return int(self.bitmap.sum())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PersonMask):
-            return NotImplemented
-        return self.mask_id == other.mask_id and bool(np.array_equal(self.bitmap, other.bitmap))
+    __eq__ = arrays_eq
 
 
 @dataclass(frozen=True)

@@ -25,19 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from .audio.dsp import PcmWindow
-from .config import EngineConfig, decode_json
-from .errors import EngineError
+from .config import EngineConfig
+from .errors import EngineError, as_int, as_number, decode_json
 from .events import (
     DEFAULT_SAMPLE_RATE,
     AudioWindowPayload,
     EventKind,
     FaceEmbeddingPayload,
     FrameDetections,
-    MalformedRecord,
     SensorEvent,
     SessionLog,
-    _as_int,
-    _as_number,
     pcm_bytes,
     pcm_samples,
 )
@@ -148,18 +145,18 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         episodes = tuple(
             Episode(
                 kind=EpisodeKind(ep["kind"]),
-                start_ms=_as_int(ep["start_ms"], f"episodes[{i}].start_ms"),
-                length_ms=_as_int(ep["length_ms"], f"episodes[{i}].length_ms"),
-                intensity=_as_number(ep.get("intensity", 0.9), f"episodes[{i}].intensity"),
+                start_ms=as_int(ep["start_ms"], f"episodes[{i}].start_ms"),
+                length_ms=as_int(ep["length_ms"], f"episodes[{i}].length_ms"),
+                intensity=as_number(ep.get("intensity", 0.9), f"episodes[{i}].intensity"),
             )
             for i, ep in enumerate(data.get("episodes", []))
         )
         return ScenarioSpec(
-            duration_ms=_as_int(data["duration_ms"], "duration_ms"),
+            duration_ms=as_int(data["duration_ms"], "duration_ms"),
             episodes=episodes,
-            seed=_as_int(data.get("seed", 0), "seed"),
+            seed=as_int(data.get("seed", 0), "seed"),
         )
-    except (MalformedRecord, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"bad scenario document: {exc}") from exc
 
 

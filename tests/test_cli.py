@@ -474,7 +474,31 @@ _BIG_INT = "1" + "0" * 400
             "train-voice",
             '{"path": "w.pcm", "label": "voice", "sample_rate": 1e400}',
             "EngineError",
-            "{path}:1: bad manifest record: cannot convert float infinity to integer",
+            "{path}:1: bad manifest record: sample_rate must be an integer, got inf",
+        ),
+        # the manifest's and the dataset's strings and integers are checked as
+        # a session log's are; before, each of these was coerced and loaded
+        *(
+            ("train-voice", record, "EngineError", "{path}:1: bad manifest record: " + message)
+            for record, message in [
+                ('{"path": "w.pcm", "label": "voice", "sample_rate": 16000.7}', "sample_rate must be an integer, got 16000.7"),
+                ('{"path": "w.pcm", "label": "voice", "sample_rate": "16000"}', "sample_rate must be an integer, got '16000'"),
+                ('{"path": "w.pcm", "label": 1}', "label must be a string, got 1"),
+                ('{"path": 7, "label": "voice"}', "path must be a string, got 7"),
+            ]
+        ),
+        *(
+            ("eval-objects", record, "EngineError", "{path}:1: bad dataset record: " + message)
+            for record, message in [
+                ('{"frame_id": 7, "gt": []}', "frame_id must be a string, got 7"),
+                ('{"frame_id": "f", "gt": [{"class": 5, "box": {"x": 0, "y": 0, "w": 9, "h": 9}}]}', "class must be a string, got 5"),
+            ]
+        ),
+        (
+            "eval-objects",
+            '{"frame_id": "f", "gt": [{"class": "dog", "box": {"x": 0, "y": 0, "w": 9, "h": 9}}]}',
+            "MissingThreshold",
+            "{path}:1: no IoU threshold for class 'dog'",
         ),
         (
             "train-voice",

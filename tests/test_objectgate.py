@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from invigil.objectgate import (
+    DEFAULT_IOU_THRESHOLDS,
     BoundingBox,
     Detection,
     DeviceThresholds,
@@ -316,7 +317,7 @@ def test_read_detection_dataset(tmp_path):
         "pred": [{"class": "person", "box": {"x": 1, "y": 0, "w": 10, "h": 10}, "score": 0.8}],
     }
     path.write_text(json.dumps(rec) + "\n\n")
-    rows = list(read_detection_dataset(path))
+    rows = list(read_detection_dataset(path, DEFAULT_IOU_THRESHOLDS))
     assert len(rows) == 1
     frame_id, gt, pred = rows[0]
     assert frame_id == "f0"
@@ -330,4 +331,4 @@ def test_read_detection_dataset_reports_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"frame_id": "a", "gt": [], "pred": []}\n{"frame_id": 1\n')
     with pytest.raises(EngineError, match="2"):
-        list(read_detection_dataset(path))
+        list(read_detection_dataset(path, DEFAULT_IOU_THRESHOLDS))
