@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import EngineError
+from ..errors import EngineError, as_int, as_list, as_object, as_str, decode_json
 from .dsp import Spectrogram, WindowWorkspace
 
 VOICE_CLASS = 1
@@ -99,8 +99,8 @@ class Conv2D:
                     cols[:, :, :, i, j, :] = x[:, i : i + ho, j : j + wo, :]
             return cols
         win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-        # (N, ho, wo, cin, kh, kw) -> (N, ho, wo, kh, kw, cin)
-        return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+        # (N, ho, wo, cin, kh, kw) -> (N, ho, wo, kh, kw, cin), always a copy
+        return np.array(win.transpose(0, 1, 2, 4, 5, 3), order="C")
 
     def forward(self, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
         kh, kw, cin, cout = self.w.shape
@@ -137,8 +137,8 @@ class Conv2D:
             return None, {"w": dw, "b": db}
         w2 = self.w.reshape(kh * kw * cin, cout)
         # dw is taken, so the cached columns can hold the input gradient's
-        # columns; a 1x1 conv's columns are a read-only view of its input
-        out = flat if flat.flags.writeable and flat.dtype == np.result_type(dflat, w2) else None
+        # columns where their dtypes agree
+        out = flat if flat.dtype == np.result_type(dflat, w2) else None
         dcols = np.matmul(dflat, w2.T, out=out).reshape(n, ho, wo, kh, kw, cin)
         dx = np.zeros(cache["x_shape"], dtype=dy.dtype)
         # col2im one sample at a time through one tap-major buffer, so each
@@ -488,8 +488,8 @@ def load_model(path: str | Path) -> VoiceModel:
         raise BadModelFile(f"{path}: unsupported container version {fmt}")
     (meta_len,) = struct.unpack("<I", take(4))
     try:
-        meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        meta = decode_json(bytes(take(meta_len)).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise BadModelFile(f"{path}: bad metadata: {exc}") from exc
     (count,) = struct.unpack("<I", take(4))
     tensors: list[np.ndarray] = []
@@ -507,12 +507,17 @@ def load_model(path: str | Path) -> VoiceModel:
     layers: list[Layer] = []
     it = iter(tensors)
     try:
-        for spec in meta["layers"]:
-            kind = spec["kind"]
+        meta = as_object(meta, "metadata")
+        for spec in as_list(meta["layers"], "layers"):
+            spec = as_object(spec, "layer")
+            kind = as_str(spec["kind"], "kind")
+            relu = spec.get("relu", kind == "conv2d")
+            if not isinstance(relu, bool):
+                raise ValueError(f"relu must be true or false, got {relu!r}")
             if kind == "conv2d":
-                layers.append(Conv2D(next(it), next(it), relu=bool(spec.get("relu", True))))
+                layers.append(Conv2D(next(it), next(it), relu=relu))
             elif kind == "dense":
-                layers.append(Dense(next(it), next(it), relu=bool(spec.get("relu", False))))
+                layers.append(Dense(next(it), next(it), relu=relu))
             elif kind == "maxpool2":
                 layers.append(MaxPool2())
             elif kind == "flatten":
@@ -522,10 +527,13 @@ def load_model(path: str | Path) -> VoiceModel:
         leftovers = sum(1 for _ in it)
         if leftovers:
             raise BadModelFile(f"{path}: {leftovers} unclaimed tensors")
+        shape = [as_int(v, "input_shape item") for v in as_list(meta["input_shape"], "input_shape")]
+        if len(shape) != 2 or min(shape) < 1:
+            raise ValueError(f"input_shape must be two positive integers, got {shape}")
         model = VoiceModel(
             layers=layers,
-            input_shape=tuple(meta["input_shape"]),  # type: ignore[arg-type]
-            version=str(meta.get("version_tag", "1")),
+            input_shape=(shape[0], shape[1]),
+            version=as_str(meta.get("version_tag", "1"), "version_tag"),
         )
     except (KeyError, StopIteration, ValueError, ShapeMismatch) as exc:
         raise BadModelFile(f"{path}: inconsistent container: {exc}") from exc

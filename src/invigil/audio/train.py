@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import EngineError, as_finite, as_int, as_str, decode_json
+from ..errors import EngineError, as_finite, as_int, as_object, as_str, decode_json
 from ..events import pcm_samples
-from .dsp import PcmWindow, Spectrogram, stft_spectrogram
+from .dsp import PcmWindow, Spectrogram, WindowWorkspace, stft_spectrogram
 from .model import ShapeMismatch, VoiceModel, default_voice_model, softmax
 
 LABEL_VOICE = "voice"
@@ -111,21 +111,21 @@ def _to_arrays(
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
     if not items:
         raise EmptyDataset(f"{what} set is empty")
-    mats = []
+    ws = WindowWorkspace()
+    x = None
     labels = []
-    for obj, label in items:
+    for k, (obj, label) in enumerate(items):
         if label not in _LABEL_INDEX:
             raise EngineError(f"label must be '{LABEL_VOICE}' or '{LABEL_NON_VOICE}', got {label!r}")
-        spec = obj if isinstance(obj, Spectrogram) else stft_spectrogram(obj)
-        mats.append(spec.model_input())
+        spec = obj if isinstance(obj, Spectrogram) else stft_spectrogram(obj, workspace=ws)
+        if x is None:
+            x = np.empty((len(items), *spec.shape, 1), dtype=np.float32)
+        elif spec.shape != x.shape[1:3]:
+            raise EngineError(f"mixed spectrogram shapes in {what} set: {x.shape[1:3]} vs {spec.shape}")
+        spec.model_input(out=x[k, :, :, 0])
         labels.append(_LABEL_INDEX[label])
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise EngineError(f"mixed spectrogram shapes in {what} set: {shape} vs {m.shape}")
-    x = np.stack(mats)[..., None].astype(np.float32)
     y = np.asarray(labels, dtype=np.int64)
-    return x, y, shape
+    return x, y, x.shape[1:3]
 
 
 def _loss_and_grad(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -343,7 +343,7 @@ def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[tuple
             if not line:
                 continue
             try:
-                rec = decode_json(line)
+                rec = as_object(decode_json(line), "record")
                 rel = as_str(rec["path"], "path")
                 label = as_str(rec["label"], "label")
                 rate = as_int(rec.get("sample_rate", 16_000), "sample_rate")

@@ -3,9 +3,9 @@
 This module imports no other engine module: it is the bottom of the
 import graph, so any module can import from it without a cycle. Besides
 `EngineError` it holds `decode_json`, the decoder of every JSON file the
-engine reads; `as_int`, `as_number`, `as_finite`, `as_str` and
-`as_object`, which return a JSON value or raise naming its field where a
-constructor would coerce a bool, float or string; and `arrays_eq`, the
+engine reads; `as_int`, `as_number`, `as_finite`, `as_str`, `as_object`
+and `as_list`, which return a JSON value or raise naming its field where
+a constructor would coerce a bool, float or string; and `arrays_eq`, the
 `__eq__` of the frozen dataclasses that hold arrays. Concrete error
 classes live next to the code that raises them.
 """
@@ -64,6 +64,12 @@ def as_str(value: Any, what: str) -> str:
 def as_object(value: Any, what: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be an object")
+    return value
+
+
+def as_list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
     return value
 
 

@@ -15,7 +15,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import EngineError, as_number, as_str, decode_json
+from .errors import EngineError, as_list, as_number, as_object, as_str, decode_json
 
 PERSON = "person"
 PHONE = "phone"
@@ -252,13 +252,19 @@ def read_detection_dataset(
 
     Each line is a JSON record {"frame_id", "gt": [{"class", "box"}],
     "pred": [{"class", "box", "score"}]} with boxes as {"x","y","w","h"}.
-    Box values and scores must be JSON numbers, checked as a session log's
-    are: by `BoundingBox` and `check_score`. A ground-truth class with no
-    entry in `iou_thresholds` raises MissingThreshold naming its line.
+    The record, its items and their boxes must be JSON objects, `gt` and
+    `pred` lists. Box values and scores must be JSON numbers, checked as a
+    session log's are: by `BoundingBox` and `check_score`. A ground-truth
+    class with no entry in `iou_thresholds` raises MissingThreshold naming
+    its line.
     Yields (frame_id, gt, pred) tuples.
     """
 
-    def box(rec: Mapping) -> BoundingBox:
+    def items(rec: Mapping, field: str) -> list[dict]:
+        return [as_object(item, f"{field} item") for item in as_list(rec.get(field, []), field)]
+
+    def box(value: object) -> BoundingBox:
+        rec = as_object(value, "box")
         return BoundingBox(*(as_number(rec[k], f"box.{k}") for k in "xywh"))
 
     def score(value: object) -> float:
@@ -272,12 +278,12 @@ def read_detection_dataset(
             if not line:
                 continue
             try:
-                rec = decode_json(line)
+                rec = as_object(decode_json(line), "record")
                 frame_id = as_str(rec["frame_id"], "frame_id")
-                gt = [(as_str(item["class"], "class"), box(item["box"])) for item in rec.get("gt", [])]
+                gt = [(as_str(item["class"], "class"), box(item["box"])) for item in items(rec, "gt")]
                 pred = [
                     (as_str(item["class"], "class"), box(item["box"]), score(item["score"]))
-                    for item in rec.get("pred", [])
+                    for item in items(rec, "pred")
                 ]
             except (EngineError, KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise EngineError(f"{path}:{lineno}: bad dataset record: {exc}") from exc

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -45,10 +48,13 @@ def test_default_model_forward_shape():
 
 def test_forward_appends_one_cache_per_layer():
     m = default_voice_model(seed=3)
+    x = np.random.default_rng(5).standard_normal((1, 61, 257, 1)).astype(np.float32)
     caches: list[dict] = []
-    m.forward(np.zeros((1, 61, 257, 1), dtype=np.float32), caches)
+    logits = m.forward(x, caches)
     assert len(caches) == len(m.layers)
     assert all(isinstance(c, dict) for c in caches)
+    # analyze classifies one window at a time without caches: the same bytes
+    assert m.forward(x).tobytes() == logits.tobytes()
 
 
 def test_forward_is_deterministic():
@@ -250,14 +256,49 @@ def test_maxpool_matches_oracle_bit_for_bit(dtype, shape):
 )
 def test_conv_input_gradient_matches_strided_col2im_bit_for_bit(dtype, x_shape, w_shape):
     rng = np.random.default_rng(20)
-    conv = Conv2D(rng.standard_normal(w_shape).astype(dtype), np.zeros(w_shape[3], dtype=dtype), relu=False)
+    w = rng.standard_normal(w_shape).astype(dtype)
+    b = np.random.default_rng(21).standard_normal(w_shape[3]).astype(dtype)
+    conv, oracle = Conv2D(w, b, relu=False), Conv2DOracle(w, b, relu=False)
     x = rng.standard_normal(x_shape).astype(dtype)
     cache: dict = {}
-    dy = rng.standard_normal(conv.forward(x, cache).shape).astype(dtype)
-    dx, _ = conv.backward(dy.copy(), cache)
+    oracle_cache: dict = {}
+    y = conv.forward(x, cache)
+    assert y.dtype == dtype
+    assert y.tobytes() == oracle.forward(x, oracle_cache).tobytes()
+    assert conv.forward(x).tobytes() == y.tobytes()
+    dy = rng.standard_normal(y.shape).astype(dtype)
+    dx, grads = conv.backward(dy.copy(), cache)
+    _, expected_grads = oracle.backward(dy.copy(), oracle_cache)
+    assert {k: g.tobytes() for k, g in grads.items()} == {k: g.tobytes() for k, g in expected_grads.items()}
     expected = conv2d_dx_strided(dy, conv.w, x_shape)
     assert dx.dtype == dtype
     assert dx.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x_dtype, w_dtype, dy_dtype",
+    [
+        (np.float32, np.float32, np.float64),
+        (np.float32, np.float64, np.float64),
+        (np.float64, np.float32, np.float64),
+    ],
+)
+def test_conv_with_mixed_dtypes_matches_the_oracle_bit_for_bit(x_dtype, w_dtype, dy_dtype):
+    rng = np.random.default_rng(22)
+    w = rng.standard_normal((3, 3, 2, 4)).astype(w_dtype)
+    b = rng.standard_normal(4).astype(w_dtype)
+    conv, oracle = Conv2D(w, b), Conv2DOracle(w, b)
+    x = rng.standard_normal((2, 7, 9, 2)).astype(x_dtype)
+    cache: dict = {}
+    oracle_cache: dict = {}
+    y = conv.forward(x, cache)
+    assert y.tobytes() == oracle.forward(x, oracle_cache).tobytes()
+    dy = rng.standard_normal(y.shape).astype(dy_dtype)
+    dx, grads = conv.backward(dy.copy(), cache)
+    expected_dx, expected_grads = oracle.backward(dy.copy(), oracle_cache)
+    assert dx.dtype == expected_dx.dtype
+    assert dx.tobytes() == expected_dx.tobytes()
+    assert {k: g.tobytes() for k, g in grads.items()} == {k: g.tobytes() for k, g in expected_grads.items()}
 
 
 def test_training_with_oracle_pool_gives_the_same_weights():
@@ -491,6 +532,52 @@ def test_load_rejects_future_format_version(tmp_path):
     raw[8] = 99
     path.write_bytes(bytes(raw))
     with pytest.raises(BadModelFile, match="version"):
+        load_model(path)
+
+
+def _with_metadata(path, meta) -> None:
+    """Replace the JSON metadata of the container at `path`; a str is written as is."""
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", raw, 12)
+    body = (meta if isinstance(meta, str) else json.dumps(meta)).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<I", len(body)) + body + raw[16 + meta_len :])
+
+
+_BAND_LAYERS = [{"kind": "flatten"}, {"kind": "dense", "relu": False}]
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ([], "inconsistent container: metadata must be an object"),
+        ({"layers": 5, "input_shape": [61, 257]}, "inconsistent container: layers must be a list"),
+        ({"layers": ["flatten", "dense"], "input_shape": [61, 257]}, "inconsistent container: layer must be an object"),
+        ({"layers": [{"kind": 5}, _BAND_LAYERS[1]], "input_shape": [61, 257]}, "inconsistent container: kind must be a string, got 5"),
+        (
+            {"layers": [_BAND_LAYERS[0], {"kind": "dense", "relu": "false"}], "input_shape": [61, 257]},
+            "inconsistent container: relu must be true or false, got 'false'",
+        ),
+        ({"layers": _BAND_LAYERS, "input_shape": "61x257"}, "inconsistent container: input_shape must be a list"),
+        ({"layers": _BAND_LAYERS, "input_shape": [61, 257.0]}, "inconsistent container: input_shape item must be an integer, got 257.0"),
+        ({"layers": _BAND_LAYERS, "input_shape": [61, 257, 1]}, "inconsistent container: input_shape must be two positive integers"),
+        ({"layers": _BAND_LAYERS, "input_shape": [-61, -257]}, "inconsistent container: input_shape must be two positive integers"),
+        ({"layers": _BAND_LAYERS, "input_shape": [61, 257], "version_tag": 1}, "inconsistent container: version_tag must be a string, got 1"),
+        # raw metadata text: nesting past the recursion limit, an integer beyond float64
+        pytest.param("[" * 100_000, "bad metadata: maximum recursion depth exceeded", id="deep-nesting"),
+        pytest.param(
+            '{"layers": [], "input_shape": [61, 1' + "0" * 400 + "]}",
+            "bad metadata: integer with 401 digits is beyond the float64 range",
+            id="int-beyond-float64",
+        ),
+    ],
+)
+def test_load_rejects_bad_metadata_types(tmp_path, meta, message):
+    path = tmp_path / "m.ivm"
+    save_model(band_contrast_model(), path)
+    _with_metadata(path, {"layers": _BAND_LAYERS, "input_shape": [61, 257]})
+    assert load_model(path).input_shape == (61, 257)  # the splice itself keeps a loadable file
+    _with_metadata(path, meta)
+    with pytest.raises(BadModelFile, match=re.escape(message)):
         load_model(path)
 
 

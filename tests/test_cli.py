@@ -492,8 +492,17 @@ _BIG_INT = "1" + "0" * 400
             for record, message in [
                 ('{"frame_id": 7, "gt": []}', "frame_id must be a string, got 7"),
                 ('{"frame_id": "f", "gt": [{"class": 5, "box": {"x": 0, "y": 0, "w": 9, "h": 9}}]}', "class must be a string, got 5"),
+                # before, each of these read as Python's indexing error
+                ("[1, 2]", "record must be an object"),
+                ('{"frame_id": "f", "gt": {"class": "person"}}', "gt must be a list"),
+                ('{"frame_id": "f", "gt": [], "pred": [7]}', "pred item must be an object"),
+                (
+                    '{"frame_id": "f", "gt": [], "pred": [{"class": "person", "box": [1, 2, 3, 4], "score": 0.5}]}',
+                    "box must be an object",
+                ),
             ]
         ),
+        ("train-voice", '"w.pcm"', "EngineError", "{path}:1: bad manifest record: record must be an object"),
         (
             "eval-objects",
             '{"frame_id": "f", "gt": [{"class": "dog", "box": {"x": 0, "y": 0, "w": 9, "h": 9}}]}',
