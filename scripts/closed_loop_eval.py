@@ -19,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from invigil.config import EngineConfig
+from invigil.errors import json_document
 from invigil.pipeline import run_session
 from invigil.simulator import evaluate_reports, generate_session, random_scenario
 
@@ -48,7 +49,7 @@ def main() -> int:
     table = metrics.to_dict()
     print(json.dumps(table, indent=2, sort_keys=True))
     if args.out:
-        Path(args.out).write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+        Path(args.out).write_bytes(json_document(table))
         print(f"wrote {args.out}")
 
     ok = table["overall_precision"] == 1.0 and table["overall_recall"] == 1.0

@@ -56,7 +56,7 @@ def main() -> int:
     report = cross_validate(data, k=args.k, repeats=args.repeats, seed=args.seed, hp=hp)
     elapsed = time.perf_counter() - t0
 
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     print(f"{report.k}x{report.repeats} CV in {elapsed:.1f}s, mean accuracy {report.mean:.4f}")
     return 0 if report.mean >= 0.90 else 1
 

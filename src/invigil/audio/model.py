@@ -388,16 +388,18 @@ def default_voice_model(
     seed: int = 0,
     dtype=np.float32,
 ) -> VoiceModel:
-    """The standard conv stack with seeded He-normal initialisation."""
+    """The standard conv stack with seeded He-normal initialisation; inputs under 10 x 10 raise ShapeMismatch."""
+    h, w = input_shape
+    h1, w1 = (h - 2) // 2, (w - 2) // 2
+    h2, w2 = (h1 - 2) // 2, (w1 - 2) // 2
+    if h2 < 1 or w2 < 1:
+        raise ShapeMismatch(f"input {input_shape} is too small for two conv+pool stages")
+    flat = h2 * w2 * 16
     rng = np.random.default_rng(seed)
 
     def he(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
         return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
 
-    h, w = input_shape
-    h1, w1 = (h - 2) // 2, (w - 2) // 2
-    h2, w2 = (h1 - 2) // 2, (w1 - 2) // 2
-    flat = h2 * w2 * 16
     layers: list[Layer] = [
         Conv2D(he((3, 3, 1, 8), 9), np.full(8, 0.01, dtype=dtype), relu=True),
         MaxPool2(),

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import EngineError, as_finite, as_int, as_object, as_str, decode_json
+from ..errors import EngineError, as_finite, as_int, as_object, as_str, decode_json, json_fields
 from ..events import pcm_samples
 from .dsp import PcmWindow, Spectrogram, WindowWorkspace, stft_spectrogram
 from .model import ShapeMismatch, VoiceModel, default_voice_model, softmax
@@ -246,15 +246,7 @@ class CVReport:
     repeats: int
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "repeats": self.repeats,
-            "runs": len(self.accuracies),
-            "accuracies": list(self.accuracies),
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-        }
+        return json_fields(self) | {"runs": len(self.accuracies)}
 
 
 def fold_plan(
@@ -337,13 +329,14 @@ def cross_validate(
 def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[tuple[PcmWindow, str]]:
     corpus_dir = Path(corpus_dir)
     items: list[tuple[PcmWindow, str]] = []
-    with open(manifest_path, "r", encoding="utf-8") as fh:
+    # read as bytes, so a line that is not UTF-8 is a bad record of its own line
+    with open(manifest_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = as_object(decode_json(line), "record")
+                rec = as_object(decode_json(line.decode("utf-8")), "record")
                 rel = as_str(rec["path"], "path")
                 label = as_str(rec["label"], "label")
                 rate = as_int(rec.get("sample_rate", 16_000), "sample_rate")

@@ -24,7 +24,7 @@ import numpy as np
 from .audio.model import load_model, save_model
 from .audio.train import TrainingConfig, cross_validate, load_corpus, train_voice_model
 from .config import BadConfig, EngineConfig, load_config_file
-from .errors import EngineError
+from .errors import EngineError, json_document
 # parse_session_log, resample_frames and resolve_audio_refs (the whole-log
 # forms of the analyze steps) are not called here but stay attributes of
 # this module, because bench/tracer.py wraps them.
@@ -109,25 +109,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "session.jsonl").write_bytes(serialize_session_log(write_audio_side_files(log, out_dir)))
-    (out_dir / "ground_truth.json").write_text(
-        json.dumps(
-            {
-                "final_label": gt.final_label.value,
-                "windows": [
-                    {"kind": w.kind.value, "start_ms": w.start_ms, "end_ms": w.end_ms}
-                    for w in gt.windows
-                ],
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    (out_dir / "ground_truth.json").write_bytes(json_document(gt.to_dict()))
     (out_dir / "report.json").write_bytes(report_to_json(report))
-    (out_dir / "metrics.json").write_text(
-        json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    (out_dir / "metrics.json").write_bytes(json_document(metrics.to_dict()))
     return 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .errors import EngineError, as_finite, as_int, decode_json
+from .errors import EngineError, as_finite, as_int, decode_json, json_fields
 from .facematch import DEFAULT_FACE_THRESHOLD
 from .objectgate import DEFAULT_IOU_THRESHOLDS, DEFAULT_PERSON_SCORE_MIN, DeviceThresholds
 
@@ -83,16 +83,7 @@ class EngineConfig:
             if not (0.0 <= th <= 1.0):
                 raise BadConfig(f"iou threshold for {cls!r} must be in [0, 1]")
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, DeviceThresholds):
-                value = {"low": value.low, "high": value.high}
-            elif isinstance(value, dict):
-                value = dict(sorted(value.items()))
-            out[f.name] = value
-        return out
+    to_dict = json_fields
 
     def merged(self, overrides: Mapping[str, Any]) -> "EngineConfig":
         """Return a copy with the given fields replaced. Unknown keys raise."""

@@ -5,14 +5,17 @@ import graph, so any module can import from it without a cycle. Besides
 `EngineError` it holds `decode_json`, the decoder of every JSON file the
 engine reads; `as_int`, `as_number`, `as_finite`, `as_str`, `as_object`
 and `as_list`, which return a JSON value or raise naming its field where
-a constructor would coerce a bool, float or string; and `arrays_eq`, the
-`__eq__` of the frozen dataclasses that hold arrays. Concrete error
-classes live next to the code that raises them.
+a constructor would coerce a bool, float or string; `arrays_eq`, the
+`__eq__` of the frozen dataclasses that hold arrays; `json_fields`, the
+`to_dict` of the result dataclasses; and `json_document`, the writer of
+every JSON result document. Concrete error classes live next to the code
+that raises them.
 """
 
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from typing import Any
 
 import numpy as np
@@ -78,3 +81,26 @@ def arrays_eq(self: Any, other: object) -> bool:
     if type(other) is not type(self):
         return NotImplemented
     return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def json_fields(value: Any) -> Any:
+    """`to_dict` for a result dataclass: the JSON value of a field value.
+
+    A dataclass becomes an object of its fields, in field order, leaving out
+    those that are None; an enum member becomes its value, a tuple or list a
+    list, and a dict an object with sorted keys. Anything else is returned.
+    """
+    if is_dataclass(value):
+        return {f.name: json_fields(v) for f in fields(value) if (v := getattr(value, f.name)) is not None}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [json_fields(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_fields(value[k]) for k in sorted(value)}
+    return value
+
+
+def json_document(data: Any) -> bytes:
+    """A result document's bytes: strict JSON (no NaN or Infinity), sorted keys, indent 2, LF-terminated."""
+    return (json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("utf-8")

@@ -15,7 +15,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import EngineError, as_list, as_number, as_object, as_str, decode_json
+from .errors import EngineError, as_list, as_number, as_object, as_str, decode_json, json_fields
 
 PERSON = "person"
 PHONE = "phone"
@@ -150,12 +150,8 @@ class AccuracyTable:
     total: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": dict(sorted(self.accuracy.items())),
-            "iou_thresholds": dict(sorted(self.thresholds.items())),
-            "matched": dict(sorted(self.matched.items())),
-            "total": dict(sorted(self.total.items())),
-        }
+        # the thresholds are written under the name the config file gives them
+        return {"iou_thresholds" if k == "thresholds" else k: v for k, v in json_fields(self).items()}
 
 
 GtItem = tuple[str, BoundingBox]
@@ -272,13 +268,14 @@ def read_detection_dataset(
         check_score(value)
         return value
 
-    with open(path, "r", encoding="utf-8") as fh:
+    # read as bytes, so a line that is not UTF-8 is a bad record of its own line
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = as_object(decode_json(line), "record")
+                rec = as_object(decode_json(line.decode("utf-8")), "record")
                 frame_id = as_str(rec["frame_id"], "frame_id")
                 gt = [(as_str(item["class"], "class"), box(item["box"])) for item in items(rec, "gt")]
                 pred = [

@@ -10,7 +10,6 @@ flag time. A session with no flags is Clean, anything else is Suspect.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -18,7 +17,7 @@ from typing import Iterable
 from .audio.dsp import PcmWindow, WindowWorkspace, stft_spectrogram
 from .audio.model import VoiceModel, band_contrast_model, classify_window
 from .config import EngineConfig
-from .errors import EngineError
+from .errors import EngineError, json_document, json_fields
 from .events import (
     AudioIntegrityError,
     AudioWindowPayload,
@@ -58,12 +57,7 @@ class EvidenceClipRequest:
     duration_ms: int
     flag_kind: FlagKind
 
-    def to_dict(self) -> dict:
-        return {
-            "start_t_ms": self.start_t_ms,
-            "duration_ms": self.duration_ms,
-            "flag_kind": self.flag_kind.value,
-        }
+    to_dict = json_fields
 
 
 @dataclass(frozen=True)
@@ -83,19 +77,7 @@ class FlagEvent:
     person_count: int | None = None
     clip_request: EvidenceClipRequest | None = None
 
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind.value, "t_ms": self.t_ms}
-        if self.score is not None:
-            out["score"] = self.score
-        if self.distance is not None:
-            out["distance"] = self.distance
-        if self.duration_ms is not None:
-            out["duration_ms"] = self.duration_ms
-        if self.person_count is not None:
-            out["person_count"] = self.person_count
-        if self.clip_request is not None:
-            out["clip_request"] = self.clip_request.to_dict()
-        return out
+    to_dict = json_fields
 
 
 @dataclass(frozen=True)
@@ -104,18 +86,12 @@ class SessionReport:
     final_label: SessionLabel
     flags: tuple[FlagEvent, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "final_label": self.final_label.value,
-            "flags": [f.to_dict() for f in self.flags],
-        }
+    to_dict = json_fields
 
 
 def report_to_json(report: SessionReport) -> bytes:
-    """Canonical report document: strict JSON, sorted keys, LF-terminated, byte-stable."""
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
-    return (text + "\n").encode("utf-8")
+    """Canonical report document, byte-stable: `json_document` of the report's fields."""
+    return json_document(report.to_dict())
 
 
 @dataclass

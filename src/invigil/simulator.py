@@ -16,7 +16,6 @@ per-episode windows may then merge under debouncing.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,7 +25,7 @@ import numpy as np
 
 from .audio.dsp import PcmWindow
 from .config import EngineConfig
-from .errors import EngineError, as_int, as_number, decode_json
+from .errors import EngineError, as_int, as_number, decode_json, json_document, json_fields
 from .events import (
     DEFAULT_SAMPLE_RATE,
     AudioWindowPayload,
@@ -88,13 +87,7 @@ class Episode:
     def contains(self, t_ms: int) -> bool:
         return self.start_ms <= t_ms < self.end_ms
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "start_ms": self.start_ms,
-            "length_ms": self.length_ms,
-            "intensity": self.intensity,
-        }
+    to_dict = json_fields
 
 
 @dataclass(frozen=True)
@@ -129,12 +122,7 @@ class ScenarioSpec:
                         f"before the session does"
                     )
 
-    def to_dict(self) -> dict:
-        return {
-            "duration_ms": self.duration_ms,
-            "seed": self.seed,
-            "episodes": [ep.to_dict() for ep in self.episodes],
-        }
+    to_dict = json_fields
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
@@ -169,7 +157,7 @@ def load_scenario_file(path: str | Path) -> ScenarioSpec:
 
 
 def save_scenario_file(spec: ScenarioSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(spec.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_bytes(json_document(spec.to_dict()))
 
 
 @dataclass(frozen=True)
@@ -187,6 +175,8 @@ class GroundTruth:
     final_label: SessionLabel
     windows: tuple[FlagWindow, ...]
 
+    to_dict = json_fields
+
 
 @dataclass(frozen=True)
 class Metrics:
@@ -203,14 +193,7 @@ class Metrics:
     overall_recall: float
     confusion: dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": dict(sorted(self.precision.items())),
-            "recall": dict(sorted(self.recall.items())),
-            "overall_precision": self.overall_precision,
-            "overall_recall": self.overall_recall,
-            "confusion": dict(sorted(self.confusion.items())),
-        }
+    to_dict = json_fields
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,15 @@
 from __future__ import annotations
 
+import os
+import sys
+
+# One BLAS/OpenMP thread, as the bench runs, so the wall-clock budgets in
+# test_acceptance.py time the engine and not the pool's contention on a
+# shared box. The pools read these once, when numpy loads.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+assert "numpy" not in sys.modules, "numpy loaded before tests/conftest.py could pin its BLAS threads"
+
 import numpy as np
 import pytest
 

@@ -72,6 +72,13 @@ def test_model_rejects_mismatched_stack():
         )
 
 
+@pytest.mark.parametrize("shape", [(8, 257), (4, 257), (61, 9)])
+def test_default_model_rejects_an_input_too_small_for_both_pools(shape):
+    with pytest.raises(ShapeMismatch, match="too small for two conv\\+pool stages"):
+        default_voice_model(input_shape=shape)
+    assert default_voice_model(input_shape=(10, 10)).forward(np.zeros((1, 10, 10, 1), np.float32)).shape == (1, 2)
+
+
 def test_classify_window_bounds_and_shape_check():
     m = default_voice_model(seed=2)
     rng = np.random.default_rng(1)

@@ -503,6 +503,11 @@ _BIG_INT = "1" + "0" * 400
             ]
         ),
         ("train-voice", '"w.pcm"', "EngineError", "{path}:1: bad manifest record: record must be an object"),
+        # a line that is not UTF-8 is a bad record of its own line, not a bare UnicodeDecodeError
+        *(
+            (command, b'\n{"path": "\xff"}\n', "EngineError", "{path}:2: bad " + what + " record: 'utf-8' codec can't")
+            for command, what in [("train-voice", "manifest"), ("eval-objects", "dataset")]
+        ),
         (
             "eval-objects",
             '{"frame_id": "f", "gt": [{"class": "dog", "box": {"x": 0, "y": 0, "w": 9, "h": 9}}]}',
@@ -570,7 +575,7 @@ _BIG_INT = "1" + "0" * 400
 )
 def test_json_readers_turn_bad_input_into_one_error_record(assets, tmp_path, command, text, error, message):
     path = tmp_path / "input.json"
-    path.write_text(text)
+    path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     argv = {
         "simulate": ["simulate", "--spec", str(path), "--out-dir", str(tmp_path / "out")],
         "train-voice": [
@@ -903,6 +908,23 @@ def test_train_voice_bad_audio_key_exits_one(assets, tmp_path):
     )
     assert proc.returncode == 1
     assert json.loads(proc.stderr.strip())["error"] == "BadConfig"
+
+
+@pytest.mark.parametrize("command", ["train-voice", "cv-voice"])
+def test_voice_corpus_too_short_for_the_model_is_one_error_record(tmp_path, command):
+    # 2,000 samples at 2 kHz give a spectrogram too short for the model's two pools
+    lines = []
+    for i in range(6):
+        (tmp_path / f"w{i}.pcm").write_bytes(pcm_bytes(synth_audio("voiced", seed=i).samples[:2000]))
+        lines.append(json.dumps({"path": f"w{i}.pcm", "label": ("voice", "non-voice")[i % 2], "sample_rate": 2000}))
+    (tmp_path / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    argv = [command, "--corpus", str(tmp_path), "--manifest", str(tmp_path / "manifest.jsonl")]
+    argv += ["--out-model", str(tmp_path / "m.ivm")] if command == "train-voice" else ["--k", "2", "--repeats", "1"]
+    code, records = _run_in_process(argv)
+    assert code == 1
+    (record,) = records
+    assert json.loads(record)["error"] == "ShapeMismatch"
+    assert not (tmp_path / "m.ivm").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,23 @@
 """The checks in `errors`: the shared `__eq__` of the value types that hold
-arrays (`arrays_eq`), and the finite-number check."""
+arrays (`arrays_eq`), the shared `to_dict` of the result types
+(`json_fields`), the result-document writer and the finite-number check."""
 
 from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 import pytest
 
 from invigil.audio.dsp import PcmWindow, Spectrogram
-from invigil.audio.train import TrainingConfig
+from invigil.audio.train import CVReport, TrainingConfig
 from invigil.config import BadConfig, config_from_dict
+from invigil.errors import json_document, json_fields
 from invigil.events import AudioWindowPayload
 from invigil.facematch import Embedding, ReferenceSet
+from invigil.objectgate import AccuracyTable
 from invigil.segmentation import Frame, PersonMask
 
 _RNG = np.random.default_rng(5)
@@ -99,6 +106,64 @@ def test_array_types_compare_every_field_by_content(name):
     else:
         with pytest.raises(TypeError, match="unhashable"):
             hash(a)
+
+
+class _Colour(str, Enum):
+    RED = "red"
+
+
+@dataclass(frozen=True)
+class _Inner:
+    colour: _Colour
+    note: str | None = None
+
+
+@dataclass(frozen=True)
+class _Outer:
+    zero: float
+    absent: int | None
+    inner: _Inner
+    items: tuple[_Inner, ...]
+    table: dict[str, float]
+    to_dict = json_fields
+
+
+def test_json_fields_turns_a_result_dataclass_into_its_json_value():
+    value = _Outer(
+        zero=0.0,
+        absent=None,
+        inner=_Inner(_Colour.RED),
+        items=(_Inner(_Colour.RED, note="n"),),
+        table={"b": 2.0, "a": 1.0},
+    )
+    d = value.to_dict()
+    assert d == {
+        "zero": 0.0,
+        "inner": {"colour": "red"},
+        "items": [{"colour": "red", "note": "n"}],
+        "table": {"a": 1.0, "b": 2.0},
+    }
+    assert type(d["inner"]["colour"]) is str and type(d["items"]) is list
+    assert list(d["table"]) == ["a", "b"]
+    assert json_document(d) == (json.dumps(d, sort_keys=True, indent=2) + "\n").encode()
+    with pytest.raises(ValueError, match="Out of range float values"):
+        json_document({"nan": float("nan")})
+
+
+def test_result_types_keep_their_document_keys():
+    table = AccuracyTable(
+        accuracy={"phone": 0.5, "person": 1.0}, thresholds={"phone": 0.3, "person": 0.5}, matched={}, total={}
+    )
+    assert table.to_dict() == {
+        "accuracy": {"person": 1.0, "phone": 0.5},
+        "iou_thresholds": {"person": 0.5, "phone": 0.3},
+        "matched": {},
+        "total": {},
+    }
+    report = CVReport(accuracies=(0.5, 1.0), min=0.5, max=1.0, mean=0.75, k=2, repeats=1)
+    assert report.to_dict() == {
+        "accuracies": [0.5, 1.0], "k": 2, "max": 1.0, "mean": 0.75, "min": 0.5, "repeats": 1, "runs": 2
+    }
 
 
 def test_an_int_beyond_float64_is_not_a_finite_number():
