@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio.model import load_model, save_model
+from .audio.dsp import spectrogram_shape
+from .audio.model import ShapeMismatch, load_model, save_model
 from .audio.train import TrainingConfig, cross_validate, load_corpus, train_voice_model
 from .config import BadConfig, EngineConfig, load_config_file
 from .errors import EngineError, json_document
@@ -29,6 +30,7 @@ from .errors import EngineError, json_document
 # forms of the analyze steps) are not called here but stay attributes of
 # this module, because bench/tracer.py wraps them.
 from .events import (  # noqa: F401
+    DEFAULT_SAMPLE_RATE,
     AudioIntegrityError,
     parse_session_log,
     read_session_log,
@@ -80,12 +82,24 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         log = read_session_log(lines)
         overrides, _ = _load_cfg_overrides(args.config)
         cfg = log.config.merged(overrides)
-        model = None if args.voice_model is None else load_model(args.voice_model)
+        model = None if args.voice_model is None else _session_voice_model(args.voice_model)
         _print_effective(cfg, None, {"references": len(log.reference_embeddings)})
         events = _resolved(log.events(cfg.max_fps), base_dir)
         report = replay_events(log.reference_embeddings, log.session_id, events, cfg, model)
     Path(args.out).write_bytes(report_to_json(report))
     return 0
+
+
+def _session_voice_model(path: str):
+    """The voice model at `path`, refused unless it takes a session log's one-second window."""
+    model = load_model(path)
+    window = spectrogram_shape(DEFAULT_SAMPLE_RATE)
+    if model.input_shape != window:
+        raise ShapeMismatch(
+            f"{path}: model input {model.input_shape} does not match the spectrogram shape {window} "
+            f"of a {DEFAULT_SAMPLE_RATE} Hz session-log window"
+        )
+    return model
 
 
 def _resolved(events, base_dir: Path):

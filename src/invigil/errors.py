@@ -3,7 +3,8 @@
 This module imports no other engine module: it is the bottom of the
 import graph, so any module can import from it without a cycle. Besides
 `EngineError` it holds `decode_json`, the decoder of every JSON file the
-engine reads; `as_int`, `as_number`, `as_finite`, `as_str`, `as_object`
+engine reads (orjson, with the stdlib decoder for what orjson refuses);
+`as_int`, `as_number`, `as_finite`, `as_str`, `as_object`
 and `as_list`, which return a JSON value or raise naming its field where
 a constructor would coerce a bool, float or string; `arrays_eq`, the
 `__eq__` of the frozen dataclasses that hold arrays; `json_fields`, the
@@ -19,6 +20,7 @@ from enum import Enum
 from typing import Any
 
 import numpy as np
+import orjson
 
 
 class EngineError(Exception):
@@ -32,11 +34,46 @@ def _float64_int(text: str) -> int:
     return value
 
 
-# Every number the engine reads ends up a float64, so JSON input is decoded
-# with integers beyond that range turned away as a ValueError, like invalid
-# JSON, rather than left to overflow in a later float(). Nesting past the
-# recursion limit raises RecursionError; callers catch both.
-decode_json = json.JSONDecoder(parse_int=_float64_int).decode
+# Every number the engine reads ends up a float64, so the stdlib decoder turns
+# away integers beyond that range as a ValueError, like invalid JSON, rather
+# than leave them to overflow in a later float(). Nesting past the recursion
+# limit raises RecursionError; callers catch both.
+_stdlib_decode = json.JSONDecoder(parse_int=_float64_int).decode
+
+# orjson builds nested values by recursion with no depth limit, and a closed
+# nesting 100,000 deep crashes the process, so text with more `[` and `{`
+# than this goes to the stdlib decoder. The bound is below the stdlib's
+# recursion limit, so orjson never decodes a nesting the stdlib refuses.
+_MAX_OPENERS = 512
+
+
+def _few_openers(text: str) -> bool:
+    n = 0
+    for opener in "[{":
+        i = text.find(opener)
+        while i != -1:
+            n += 1
+            if n > _MAX_OPENERS:
+                return False
+            i = text.find(opener, i + 1)
+    return True
+
+
+def decode_json(text: str) -> Any:
+    """The JSON value of `text`, as the stdlib decoder above gives it.
+
+    orjson decodes it when it can, to the same values: it refuses NaN,
+    Infinity, numbers that overflow a float64, lone surrogates and invalid
+    JSON, and the stdlib decoder then accepts the text or raises its own
+    message. The one difference: orjson reads an integer literal outside
+    [-2**63, 2**64) as a float, which an integer field then refuses.
+    """
+    if _few_openers(text):
+        try:
+            return orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass
+    return _stdlib_decode(text)
 
 
 def as_int(value: Any, what: str, error: type[Exception] = ValueError) -> int:

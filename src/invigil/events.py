@@ -29,8 +29,10 @@ and `check_score`). The parser adds what JSON needs on top: present keys,
 and JSON types where a constructor would coerce a bool, float or string,
 checked with `errors.as_int`, `as_number`, `as_str` and `as_object`, which
 the other JSON readers use too. It re-raises whatever a check raises as a
-`MalformedRecord` that names the line. The decoder, `errors.decode_json`,
-turns away integers beyond the float64 range and over-deep nesting.
+`MalformedRecord` that names the line. The decoder, `errors.decode_json`
+(orjson, or the stdlib decoder for what orjson refuses), turns away
+integers beyond the float64 range and over-deep nesting, and reads an
+integer outside [-2**63, 2**64) as a float, which `t_ms` then refuses.
 
 Each event line is taken in this order: its kind; its payload, checked
 field by field; its `t_ms`; its order against the line before; and last

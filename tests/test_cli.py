@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invigil import cli
-from invigil.audio.model import band_contrast_model, load_model, save_model
+from invigil.audio.model import ShapeMismatch, band_contrast_model, load_model, save_model
 from invigil.config import EngineConfig
 from invigil.errors import EngineError
 from invigil.events import (
@@ -29,11 +29,12 @@ from invigil.events import (
     FrameImageRef,
     SensorEvent,
     pcm_bytes,
+    read_session_log,
     serialize_session_log,
 )
 from invigil.facematch import Embedding
 from invigil.objectgate import BoundingBox, Detection
-from invigil.pipeline import report_to_json, run_session
+from invigil.pipeline import replay_events, report_to_json, run_session
 from invigil.simulator import (
     MAX_DURATION_MS,
     Episode,
@@ -303,34 +304,55 @@ def _write_lines(path: Path, log, edit) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize(
-    "payload, error, message",
-    [
-        # replay: a voice model built for 30 frames cannot take a one-second window
-        (AudioWindowPayload(sample_rate=16000, samples=np.zeros(16000)), "ShapeMismatch", "spectrogram shape"),
-        (AudioWindowPayload(sample_rate=16000, path="w.pcm"), "AudioIntegrityError", "cannot read audio file"),
-    ],
-)
-def test_analyze_event_errors_name_file_line(identity, tmp_path, payload, error, message):
+def test_analyze_audio_file_error_names_file_line(identity, tmp_path):
     _, refs = identity
-    bad = SensorEvent(t_ms=500, kind=EventKind.AUDIO_WINDOW, payload=payload)
+    bad = SensorEvent(t_ms=500, kind=EventKind.AUDIO_WINDOW, payload=AudioWindowPayload(path="w.pcm"))
     log = make_log([frame_event(0), frame_event(400), bad, frame_event(900)], refs)
     _write_lines(tmp_path / "session.jsonl", log, lambda lines: lines.insert(2, ""))
-    save_model(band_contrast_model(input_shape=(30, 257)), tmp_path / "short.ivm")
+    save_model(band_contrast_model(), tmp_path / "band.ivm")
     proc = run_cli(
         "analyze",
         "--log",
         str(tmp_path / "session.jsonl"),
         "--voice-model",
-        str(tmp_path / "short.ivm"),
+        str(tmp_path / "band.ivm"),
         "--out",
         str(tmp_path / "r.json"),
     )
     assert proc.returncode == 1
     err = json.loads(proc.stderr.strip())
-    assert err["error"] == error
+    assert err["error"] == "AudioIntegrityError"
     # the bad window is the third event and sits on file line 6, after a blank line
-    assert err["message"].startswith(f"line 6: {message}")
+    assert err["message"].startswith("line 6: cannot read audio file")
+
+
+def test_analyze_refuses_a_voice_model_for_another_window_before_reading_events(identity, tmp_path):
+    # a model trained on 8 kHz windows takes 30 spectrogram frames, not the 61 of a
+    # session log's 16 kHz window; it is refused before the bad event on line 4 is read
+    _, refs = identity
+    log = make_log([frame_event(0), frame_event(400)], refs)
+    _write_lines(tmp_path / "session.jsonl", log, lambda lines: lines.__setitem__(3, "{not json"))
+    model = tmp_path / "short.ivm"
+    save_model(band_contrast_model(input_shape=(30, 257)), model)
+    argv = ["analyze", "--log", str(tmp_path / "session.jsonl"), "--voice-model", str(model)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code, records = _run_in_process([*argv, "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    (record,) = records
+    assert json.loads(record) == {
+        "error": "ShapeMismatch",
+        "message": f"{model}: model input (30, 257) does not match the spectrogram shape (61, 257) "
+        "of a 16000 Hz session-log window",
+    }
+    assert stdout.getvalue() == ""
+    assert not (tmp_path / "r.json").exists()
+
+    # a library replay with that model still names the line of the first window
+    window = SensorEvent(t_ms=500, kind=EventKind.AUDIO_WINDOW, payload=AudioWindowPayload(samples=np.zeros(16000)))
+    stream = read_session_log(serialize_session_log(make_log([window], refs)).splitlines())
+    with pytest.raises(ShapeMismatch, match=r"^line 3: spectrogram shape \(61, 257\) does not match model input"):
+        replay_events(stream.reference_embeddings, stream.session_id, stream.events(), EngineConfig(), load_model(model))
 
 
 def test_analyze_validates_frames_the_rate_cap_drops(identity, tmp_path):
@@ -548,6 +570,12 @@ _BIG_INT = "1" + "0" * 400
                     '{"kind": "phone_use", "start_ms": 3000, "length_ms": 4000}',
                     ', "seed": true',
                     "bad scenario document: seed must be an integer, got True",
+                ),
+                (
+                    # the decoder reads an integer literal outside [-2**63, 2**64) as a float
+                    '{"kind": "phone_use", "start_ms": 3000, "length_ms": 4000}',
+                    ', "seed": 18446744073709551616',
+                    "bad scenario document: seed must be an integer, got 1.8446744073709552e+19",
                 ),
                 (
                     '{"kind": "phone_use", "start_ms": 3000, "length_ms": 4000, "intensity": "0.9"}',

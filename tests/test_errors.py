@@ -1,24 +1,148 @@
-"""The checks in `errors`: the shared `__eq__` of the value types that hold
-arrays (`arrays_eq`), the shared `to_dict` of the result types
-(`json_fields`), the result-document writer and the finite-number check."""
+"""The checks in `errors`: the JSON decoder against the stdlib decoder it
+falls back to, the shared `__eq__` of the value types that hold arrays
+(`arrays_eq`), the shared `to_dict` of the result types (`json_fields`),
+the result-document writer and the finite-number check."""
 
 from __future__ import annotations
 
 import json
+import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invigil.audio.dsp import PcmWindow, Spectrogram
 from invigil.audio.train import CVReport, TrainingConfig
 from invigil.config import BadConfig, config_from_dict
-from invigil.errors import json_document, json_fields
+from invigil.errors import _MAX_OPENERS, _stdlib_decode, decode_json, json_document, json_fields
 from invigil.events import AudioWindowPayload
 from invigil.facematch import Embedding, ReferenceSet
 from invigil.objectgate import AccuracyTable
 from invigil.segmentation import Frame, PersonMask
+
+# ---------------------------------------------------------------------------
+# decode_json against the stdlib decoder
+
+
+def _outcome(decode, text):
+    try:
+        return "value", decode(text)
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want) -> bool:
+    """got is want: same types, floats bit for bit, keys in the same order.
+
+    The one difference allowed: an integer outside [-2**63, 2**64) may be
+    read as the float nearest it (it is, unless orjson refused the text).
+    """
+    if type(want) is int and not -(2**63) <= want < 2**64 and type(got) is float:
+        return struct.pack("<d", got) == struct.pack("<d", float(want))
+    if type(got) is not type(want):
+        return False
+    if type(want) is float:
+        return struct.pack("<d", got) == struct.pack("<d", want) or (math.isnan(got) and math.isnan(want))
+    if type(want) is list:
+        return len(got) == len(want) and all(_same(g, w) for g, w in zip(got, want))
+    if type(want) is dict:
+        return list(got) == list(want) and all(_same(got[k], want[k]) for k in want)
+    return got == want
+
+
+def _assert_decodes_as_stdlib(text: str) -> None:
+    got, want = _outcome(decode_json, text), _outcome(_stdlib_decode, text)
+    if want[0] == "value":
+        assert got[0] == "value" and _same(got[1], want[1]), (text[:200], got, want)
+    else:
+        assert got == want, text[:200]
+
+
+def _float_from_bits(bits: int) -> str:
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    return repr(x) if math.isfinite(x) else "NaN" if math.isnan(x) else ("-" if x < 0 else "") + "Infinity"
+
+
+_DIGIT_NUMBERS = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.from_regex(r"\A(0|[1-9][0-9]{0,39})\Z", fullmatch=True),
+    st.sampled_from(["", ".5"]) | st.from_regex(r"\A\.[0-9]{1,40}\Z", fullmatch=True),
+    st.just("") | st.builds("{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), st.integers(0, 340)),
+)
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_decode_json_reads_floats_from_any_bit_pattern_as_stdlib(bits):
+    text = _float_from_bits(bits)
+    _assert_decodes_as_stdlib(text)
+    _assert_decodes_as_stdlib(f"[{text}]")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DIGIT_NUMBERS)
+def test_decode_json_reads_long_digit_strings_with_exponents_as_stdlib(text):
+    _assert_decodes_as_stdlib(text)
+    _assert_decodes_as_stdlib('{"n": ' + text + "}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["NaN", "-Infinity", "[Infinity, 1]", "1e400", "-1e400", "1e-400", "-1e-400", str(10**400), "9" * 5000]
+    # the integers at the edges of [-2**63, 2**64), where decode_json starts to read floats
+    + ["-0", "-0.0", str(2**63), str(2**64 - 1), str(2**64), str(-(2**63)), str(-(2**63) - 1), str(10**308)],
+)
+def test_decode_json_reads_non_finite_and_edge_numbers_as_stdlib(text):
+    _assert_decodes_as_stdlib(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0xD800, 0xDFFF), st.sampled_from(['"\\u{:04x}"', '["\\u{:04X}x"]', '{{"\\u{:04x}": 1}}']))
+def test_decode_json_reads_lone_surrogate_escapes_as_stdlib(code, template):
+    _assert_decodes_as_stdlib(template.format(code))
+    _assert_decodes_as_stdlib('"' + chr(code) + '"')  # the surrogate itself, not escaped
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"), _JSON_VALUES), max_size=6))
+def test_decode_json_keeps_the_last_of_duplicate_keys_as_stdlib(items):
+    _assert_decodes_as_stdlib("{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in items) + "}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES, st.booleans())
+def test_decode_json_reads_any_json_value_as_stdlib(value, ensure_ascii):
+    _assert_decodes_as_stdlib(json.dumps(value, ensure_ascii=ensure_ascii))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet='[]{}:,"\\ -+.0123456789eEtrufalsnNIiy\t\n\x00\x7f\ud800\xe9'))
+def test_decode_json_reads_any_text_as_stdlib(text):
+    _assert_decodes_as_stdlib(text)
+
+
+@pytest.mark.parametrize("depth", [_MAX_OPENERS, _MAX_OPENERS + 1, 100_000])
+@pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"k": ', "}")])
+def test_decode_json_reads_deep_nesting_as_stdlib(depth, opener, closer):
+    text = opener * depth + "1" + closer * depth
+    assert _outcome(decode_json, text) == _outcome(_stdlib_decode, text)  # no floats, so == is exact
+
 
 _RNG = np.random.default_rng(5)
 _WINDOW = _RNG.uniform(-0.5, 0.5, 16_000)

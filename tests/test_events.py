@@ -277,6 +277,8 @@ def test_identifiers_must_be_strings(small_log, kind, field, value, lineno, mess
     [
         (3, lambda rec: rec.update(t_ms=-5), "t_ms must be non-negative, got -5"),
         (3, lambda rec: rec.update(t_ms=True), "t_ms must be an integer, got True"),
+        # the decoder reads an integer literal outside [-2**63, 2**64) as a float
+        (3, lambda rec: rec.update(t_ms=2**64), "t_ms must be an integer, got 1.8446744073709552e+19"),
         (
             4,
             lambda rec: rec["payload"]["detections"][1].update(score=1.5),
@@ -402,6 +404,9 @@ def test_audio_window_rate_must_be_16k(small_log, rate):
         (str(2**1030), "integer with 311 digits is beyond the float64 range"),
         ("9" * 5000, "Exceeds the limit"),
         ("[" * 100_000, "maximum recursion depth exceeded"),
+        # closed nestings: a decoder that recurses without a limit would crash on them
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ('{"a":' * 100_000 + "0" + "}" * 100_000, "maximum recursion depth exceeded"),
     ],
 )
 def test_json_numbers_and_nesting_beyond_range_name_line(small_log, t_ms, message):
