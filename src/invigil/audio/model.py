@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import EngineError, as_int, as_list, as_object, as_str, decode_json
+from ..errors import EngineError, as_bool, as_int, as_list, as_object, as_str, decode_json
 from .dsp import Spectrogram, WindowWorkspace
 
 VOICE_CLASS = 1
@@ -513,9 +513,7 @@ def load_model(path: str | Path) -> VoiceModel:
         for spec in as_list(meta["layers"], "layers"):
             spec = as_object(spec, "layer")
             kind = as_str(spec["kind"], "kind")
-            relu = spec.get("relu", kind == "conv2d")
-            if not isinstance(relu, bool):
-                raise ValueError(f"relu must be true or false, got {relu!r}")
+            relu = as_bool(spec.get("relu", kind == "conv2d"), "relu")
             if kind == "conv2d":
                 layers.append(Conv2D(next(it), next(it), relu=relu))
             elif kind == "dense":

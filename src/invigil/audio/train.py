@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import EngineError, as_finite, as_int, as_object, as_str, decode_json, json_fields
+from ..errors import EngineError, as_int, as_object, as_str, check_fields, decode_json, json_fields
 from ..events import pcm_samples
 from .dsp import PcmWindow, Spectrogram, WindowWorkspace, stft_spectrogram
 from .model import ShapeMismatch, VoiceModel, default_voice_model, softmax
@@ -46,16 +46,15 @@ class TrainingConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("batch_size", "max_epochs", "patience"):
-            as_int(getattr(self, name), name)
-        for name in ("learning_rate", "val_fraction"):
-            as_finite(getattr(self, name), name)
+        check_fields(self, ValueError)
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("learning_rate, batch_size and max_epochs must be positive")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
         if not (0.0 < self.val_fraction < 1.0):
             raise ValueError("val_fraction must lie in (0, 1)")
+
+    to_dict = json_fields
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ import numpy as np
 from .audio.dsp import spectrogram_shape
 from .audio.model import ShapeMismatch, load_model, save_model
 from .audio.train import TrainingConfig, cross_validate, load_corpus, train_voice_model
-from .config import BadConfig, EngineConfig, load_config_file
-from .errors import EngineError, json_document
+from .config import BadConfig, EngineConfig
+from .errors import EngineError, as_object, decode_json, from_json, json_document
 # parse_session_log, resample_frames and resolve_audio_refs (the whole-log
 # forms of the analyze steps) are not called here but stay attributes of
 # this module, because bench/tracer.py wraps them.
@@ -58,20 +58,25 @@ def _fail(exc: BaseException) -> int:
     return 1
 
 
-def _load_cfg_overrides(path: str | None) -> tuple[dict, dict]:
-    """Config-file dict split into (engine overrides, audio section)."""
+def _load_config(path: str | None, base: EngineConfig) -> tuple[EngineConfig, TrainingConfig]:
+    """`--config`: an object of EngineConfig fields, merged over `base`, and an
+    optional "audio" object of TrainingConfig fields. Every error names the file."""
     if path is None:
-        return {}, {}
-    data = load_config_file(path)
-    audio = data.pop("audio", {})
-    return data, audio
-
-
-def _training_config(audio: dict) -> TrainingConfig:
+        return base, TrainingConfig()
     try:
-        return TrainingConfig(**audio)
-    except (TypeError, ValueError) as exc:
-        raise BadConfig(f"bad audio hyperparameters: {exc}") from exc
+        data = decode_json(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise BadConfig(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        engine = as_object(data, "config", BadConfig)
+        audio = engine.pop("audio", {})
+        cfg = base.merged(engine)
+    except BadConfig as exc:
+        raise BadConfig(f"{path}: {exc}") from exc
+    try:
+        return cfg, from_json(TrainingConfig, audio, "audio", ValueError)
+    except ValueError as exc:
+        raise BadConfig(f"{path}: bad audio hyperparameters: {exc}") from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -80,8 +85,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # reads the file in few system calls
     with open(args.log, "rb", buffering=1 << 20) as lines:
         log = read_session_log(lines)
-        overrides, _ = _load_cfg_overrides(args.config)
-        cfg = log.config.merged(overrides)
+        cfg, _ = _load_config(args.config, log.config)
         model = None if args.voice_model is None else _session_voice_model(args.voice_model)
         _print_effective(cfg, None, {"references": len(log.reference_embeddings)})
         events = _resolved(log.events(cfg.max_fps), base_dir)
@@ -130,15 +134,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_voice(args: argparse.Namespace) -> int:
-    _, audio = _load_cfg_overrides(args.config)
-    hp = _training_config(audio)
+    _, hp = _load_config(args.config, EngineConfig())
     data = load_corpus(args.corpus, args.manifest)
     rng = np.random.default_rng(np.random.SeedSequence([0xC11, args.seed & 0xFFFFFFFF]))
     order = rng.permutation(len(data))
     n_val = max(1, int(round(len(data) * hp.val_fraction)))
     val = [data[i] for i in order[:n_val]]
     train = [data[i] for i in order[n_val:]]
-    _print_effective(None, args.seed, {"hyperparameters": dataclasses.asdict(hp)})
+    _print_effective(None, args.seed, {"hyperparameters": hp.to_dict()})
     model, history = train_voice_model(train, val, hp=hp, seed=args.seed)
     save_model(model, args.out_model)
     best = history.best
@@ -158,18 +161,16 @@ def _cmd_train_voice(args: argparse.Namespace) -> int:
 
 
 def _cmd_cv_voice(args: argparse.Namespace) -> int:
-    _, audio = _load_cfg_overrides(args.config)
-    hp = _training_config(audio)
+    _, hp = _load_config(args.config, EngineConfig())
     data = load_corpus(args.corpus, args.manifest)
-    _print_effective(None, args.seed, {"hyperparameters": dataclasses.asdict(hp)})
+    _print_effective(None, args.seed, {"hyperparameters": hp.to_dict()})
     report = cross_validate(data, k=args.k, repeats=args.repeats, seed=args.seed, hp=hp)
     print(json.dumps(report.to_dict(), sort_keys=True))
     return 0
 
 
 def _cmd_eval_objects(args: argparse.Namespace) -> int:
-    overrides, _ = _load_cfg_overrides(args.config)
-    cfg = EngineConfig().merged(overrides)
+    cfg, _ = _load_config(args.config, EngineConfig())
     frames = [(gt, pred) for _, gt, pred in read_detection_dataset(args.dataset, cfg.iou_thresholds)]
     table = evaluate_dataset(frames, cfg.iou_thresholds)
     _print_effective(cfg, None)

@@ -4,20 +4,22 @@ This module imports no other engine module: it is the bottom of the
 import graph, so any module can import from it without a cycle. Besides
 `EngineError` it holds `decode_json`, the decoder of every JSON file the
 engine reads (orjson, with the stdlib decoder for what orjson refuses);
-`as_int`, `as_number`, `as_finite`, `as_str`, `as_object`
+`as_int`, `as_number`, `as_finite`, `as_bool`, `as_str`, `as_object`
 and `as_list`, which return a JSON value or raise naming its field where
 a constructor would coerce a bool, float or string; `arrays_eq`, the
 `__eq__` of the frozen dataclasses that hold arrays; `json_fields`, the
-`to_dict` of the result dataclasses; and `json_document`, the writer of
+`to_dict` of the result dataclasses, and `from_json` with `check_fields`,
+its inverse for the typed inputs; and `json_document`, the writer of
 every JSON result document. Concrete error classes live next to the code
 that raises them.
 """
 
 import json
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
-from typing import Any
+from functools import cache
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 import orjson
@@ -95,15 +97,21 @@ def as_finite(value: Any, what: str, error: type[Exception] = ValueError) -> flo
     return float(value)
 
 
+def as_bool(value: Any, what: str, error: type[Exception] = ValueError) -> bool:
+    if not isinstance(value, bool):
+        raise error(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def as_str(value: Any, what: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a string, got {value!r}")
     return value
 
 
-def as_object(value: Any, what: str) -> dict:
+def as_object(value: Any, what: str, error: type[Exception] = ValueError) -> dict:
     if not isinstance(value, dict):
-        raise ValueError(f"{what} must be an object")
+        raise error(f"{what} must be an object")
     return value
 
 
@@ -136,6 +144,77 @@ def json_fields(value: Any) -> Any:
     if isinstance(value, dict):
         return {k: json_fields(value[k]) for k in sorted(value)}
     return value
+
+
+def from_json(cls: type, value: Any, what: str, error: type[Exception]) -> Any:
+    """The dataclass `cls` read from the JSON object `value`, called `what` in errors.
+
+    A key that names no field is refused, and so is a missing one whose field
+    has no default. The values go to `cls` as given: its `__post_init__`
+    checks them through `check_fields`.
+    """
+    obj = as_object(value, what, error)
+    _check_keys(cls, obj, "", False, error)
+    return cls(**obj)
+
+
+def check_fields(value: Any, error: type[Exception]) -> None:
+    """`__post_init__` of a type `from_json` reads: each field read as its annotation says.
+
+    `float` takes a finite number, `int` an integer, `bool` true or false, an
+    enum a member or its value, `tuple[X, ...]` a list and `dict[str, X]` an
+    object. A dataclass field takes an instance or an object that gives every
+    field, since it replaces the whole value; one in a list may leave out those
+    with a default. Errors name the path, such as `episodes[0].start_ms`.
+    """
+    hints = _hints(type(value))
+    for f in fields(value):
+        object.__setattr__(value, f.name, _read(hints[f.name], getattr(value, f.name), f.name, error))
+
+
+@cache
+def _hints(cls: type) -> dict[str, Any]:
+    return get_type_hints(cls)
+
+
+def _check_keys(cls: type, obj: dict, prefix: str, every: bool, error: type[Exception]) -> None:
+    names = {f.name for f in fields(cls)}
+    for key in obj:
+        if key not in names:
+            raise error(f"unknown key {prefix + key!r}")
+    for f in fields(cls):
+        if f.name not in obj and (every or (f.default is MISSING and f.default_factory is MISSING)):
+            raise error(f"missing key {prefix + f.name!r}")
+
+
+def _read(tp: Any, value: Any, what: str, error: type[Exception], every: bool = True) -> Any:
+    if tp is float:
+        return as_finite(value, what, error)
+    if tp is int:
+        return as_int(value, what, error)
+    if tp is bool:
+        return as_bool(value, what, error)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            raise error(f"{what} must be one of {[m.value for m in tp]}, got {value!r}") from None
+    if is_dataclass(tp):
+        obj = vars(value) if isinstance(value, tp) else as_object(value, what, error)
+        _check_keys(tp, obj, f"{what}.", every, error)
+        kwargs = {k: _read(_hints(tp)[k], v, f"{what}.{k}", error) for k, v in obj.items()}
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise error(f"{what}: {exc}") from exc
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{what} must be a list")
+        return tuple(_read(args[0], v, f"{what}[{i}]", error, False) for i, v in enumerate(value))
+    if origin is dict:
+        return {k: _read(args[1], v, f"{what}[{k!r}]", error) for k, v in as_object(value, what, error).items()}
+    raise TypeError(f"{what}: no JSON reading for {tp!r}")
 
 
 def json_document(data: Any) -> bytes:

@@ -424,7 +424,7 @@ def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
         )
     try:
         session_id = as_str(_expect(header, "session_id"), "session_id")
-        config = config_from_dict(as_object(header.get("config", {}), "config"))
+        config = config_from_dict(header.get("config", {}))
     except _RECORD_ERRORS as exc:
         raise MalformedRecord(f"line {lineno}: {exc}") from exc
 

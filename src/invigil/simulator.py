@@ -25,7 +25,7 @@ import numpy as np
 
 from .audio.dsp import PcmWindow
 from .config import EngineConfig
-from .errors import EngineError, as_int, as_number, decode_json, json_document, json_fields
+from .errors import EngineError, check_fields, decode_json, from_json, json_document, json_fields
 from .events import (
     DEFAULT_SAMPLE_RATE,
     AudioWindowPayload,
@@ -93,11 +93,11 @@ class Episode:
 @dataclass(frozen=True)
 class ScenarioSpec:
     duration_ms: int
-    episodes: tuple[Episode, ...]
-    seed: int
+    episodes: tuple[Episode, ...] = ()
+    seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "episodes", tuple(self.episodes))
+        check_fields(self, InvalidSpec)
         if not 0 < self.duration_ms <= MAX_DURATION_MS:
             raise InvalidSpec(
                 f"duration_ms must be in (0, {MAX_DURATION_MS}], got {self.duration_ms}"
@@ -126,26 +126,8 @@ class ScenarioSpec:
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
-    """The spec of a JSON scenario document; numbers must be JSON numbers of their field's kind."""
-    if not isinstance(data, dict):
-        raise InvalidSpec("bad scenario document: must be a JSON object")
-    try:
-        episodes = tuple(
-            Episode(
-                kind=EpisodeKind(ep["kind"]),
-                start_ms=as_int(ep["start_ms"], f"episodes[{i}].start_ms"),
-                length_ms=as_int(ep["length_ms"], f"episodes[{i}].length_ms"),
-                intensity=as_number(ep.get("intensity", 0.9), f"episodes[{i}].intensity"),
-            )
-            for i, ep in enumerate(data.get("episodes", []))
-        )
-        return ScenarioSpec(
-            duration_ms=as_int(data["duration_ms"], "duration_ms"),
-            episodes=episodes,
-            seed=as_int(data.get("seed", 0), "seed"),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidSpec(f"bad scenario document: {exc}") from exc
+    """The spec of a JSON scenario document, read through `errors.from_json`."""
+    return from_json(ScenarioSpec, data, "scenario", InvalidSpec)
 
 
 def load_scenario_file(path: str | Path) -> ScenarioSpec:
@@ -153,7 +135,10 @@ def load_scenario_file(path: str | Path) -> ScenarioSpec:
         data = decode_json(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         raise InvalidSpec(f"{path}: {exc}") from exc
-    return scenario_from_dict(data)
+    try:
+        return scenario_from_dict(data)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{path}: bad scenario document: {exc}") from exc
 
 
 def save_scenario_file(spec: ScenarioSpec, path: str | Path) -> None:

@@ -189,6 +189,40 @@ def test_analyze_rejects_unknown_config_key(assets, tmp_path):
     assert json.loads(proc.stderr.strip())["error"] == "BadConfig"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # before, each of these three was stored as given: "false" and 0 then
+        # read as a config that rechecks on any return, and null fell out of
+        # the effective-config line
+        ('{"recheck_on_any_return": "false"}', "recheck_on_any_return must be true or false, got 'false'"),
+        ('{"recheck_on_any_return": 0}', "recheck_on_any_return must be true or false, got 0"),
+        ('{"recheck_on_any_return": null}', "recheck_on_any_return must be true or false, got None"),
+        ('{"not_a_key": 1}', "unknown key 'not_a_key'"),
+        # an object given for device_thresholds replaces the whole value, so
+        # it gives both fields: the class default high fills in nothing
+        ('{"device_thresholds": {"low": 0.2}}', "missing key 'device_thresholds.high'"),
+        ('{"device_thresholds": {"low": 0.2, "high": 0.9, "mid": 0.5}}', "unknown key 'device_thresholds.mid'"),
+        ('{"device_thresholds": {"low": 0.2, "high": true}}', "device_thresholds.high must be a finite number, got True"),
+        ('{"device_thresholds": {"low": 0.9, "high": 0.2}}', "device_thresholds: need 0 <= low <= high <= 1, got low=0.9, high=0.2"),
+        ('{"iou_thresholds": {"person": "0.5"}}', "iou_thresholds['person'] must be a finite number, got '0.5'"),
+        ('{"absence_recheck_min_ms": 20000}', "absence_recheck_min_ms must be smaller than absence_long_ms"),
+        ("[1]", "config must be an object"),
+        ('{"audio": [1]}', "bad audio hyperparameters: audio must be an object"),
+        ('{"audio": {"momentum": 0.9}}', "bad audio hyperparameters: unknown key 'momentum'"),
+    ],
+)
+def test_config_file_content_errors_name_the_file(assets, tmp_path, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    argv = ["analyze", "--log", str(assets / "clean.jsonl"), "--config", str(cfg), "--out", str(tmp_path / "r.json")]
+    code, records = _run_in_process(argv)
+    assert code == 1
+    (record,) = records
+    assert json.loads(record) == {"error": "BadConfig", "message": f"{cfg}: {message}"}
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_usage_errors_exit_two():
     assert run_cli().returncode == 2
     assert run_cli("analyze").returncode == 2
@@ -559,29 +593,47 @@ _BIG_INT = "1" + "0" * 400
                 (
                     '{"kind": "phone_use", "start_ms": 3000.9, "length_ms": 4000}',
                     "",
-                    "bad scenario document: episodes[0].start_ms must be an integer, got 3000.9",
+                    "{path}: bad scenario document: episodes[0].start_ms must be an integer, got 3000.9",
                 ),
                 (
                     '{"kind": "phone_use", "start_ms": 3000, "length_ms": "4000"}',
                     "",
-                    "bad scenario document: episodes[0].length_ms must be an integer, got '4000'",
+                    "{path}: bad scenario document: episodes[0].length_ms must be an integer, got '4000'",
                 ),
                 (
                     '{"kind": "phone_use", "start_ms": 3000, "length_ms": 4000}',
                     ', "seed": true',
-                    "bad scenario document: seed must be an integer, got True",
+                    "{path}: bad scenario document: seed must be an integer, got True",
                 ),
                 (
                     # the decoder reads an integer literal outside [-2**63, 2**64) as a float
                     '{"kind": "phone_use", "start_ms": 3000, "length_ms": 4000}',
                     ', "seed": 18446744073709551616',
-                    "bad scenario document: seed must be an integer, got 1.8446744073709552e+19",
+                    "{path}: bad scenario document: seed must be an integer, got 1.8446744073709552e+19",
                 ),
                 (
                     '{"kind": "phone_use", "start_ms": 3000, "length_ms": 4000, "intensity": "0.9"}',
                     "",
-                    "bad scenario document: episodes[0].intensity must be a number, got '0.9'",
+                    "{path}: bad scenario document: episodes[0].intensity must be a finite number, got '0.9'",
                 ),
+                # before, both keys were ignored: the first ran seed 0, the second
+                # intensity 0.9
+                (
+                    '{"kind": "phone_use", "start_ms": 3000, "length_ms": 4000}',
+                    ', "seeds": 7',
+                    "{path}: bad scenario document: unknown key 'seeds'",
+                ),
+                (
+                    '{"kind": "phone_use", "start_ms": 3000, "length_ms": 4000, "intensty": 0.5}',
+                    "",
+                    "{path}: bad scenario document: unknown key 'episodes[0].intensty'",
+                ),
+                (
+                    '{"kind": "juggling", "start_ms": 3000, "length_ms": 4000}',
+                    "",
+                    "{path}: bad scenario document: episodes[0].kind must be one of ",
+                ),
+                ('7', "", "{path}: bad scenario document: episodes[0] must be an object"),
             ]
         ),
         *(
@@ -625,14 +677,15 @@ def test_simulate_rejects_overlong_scenario(tmp_path):
     # the spec is turned away before any session is generated
     with pytest.raises(EngineError, match="duration_ms must be in"):
         scenario_from_dict(too_long)
-    (tmp_path / "spec.json").write_text(json.dumps(too_long))
-    argv = ["simulate", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(tmp_path)]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(too_long))
+    argv = ["simulate", "--spec", str(spec), "--out-dir", str(tmp_path)]
     code, records = _run_in_process(argv)
     assert code == 1
     (record,) = records
     assert json.loads(record) == {
         "error": "InvalidSpec",
-        "message": f"duration_ms must be in (0, {MAX_DURATION_MS}], got {MAX_DURATION_MS + 1}",
+        "message": f"{spec}: bad scenario document: duration_ms must be in (0, {MAX_DURATION_MS}], got {MAX_DURATION_MS + 1}",
     }
 
 
@@ -978,7 +1031,7 @@ def test_train_voice_bad_hyperparameter_is_bad_config(assets, tmp_path, audio, m
     code, records = _run_in_process(argv)
     assert code == 1
     (record,) = records
-    assert json.loads(record) == {"error": "BadConfig", "message": f"bad audio hyperparameters: {message}"}
+    assert json.loads(record) == {"error": "BadConfig", "message": f"{cfg}: bad audio hyperparameters: {message}"}
     assert not (tmp_path / "m.ivm").exists()
 
 

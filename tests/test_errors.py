@@ -1,7 +1,8 @@
 """The checks in `errors`: the JSON decoder against the stdlib decoder it
 falls back to, the shared `__eq__` of the value types that hold arrays
 (`arrays_eq`), the shared `to_dict` of the result types (`json_fields`),
-the result-document writer and the finite-number check."""
+the result-document writer, the finite-number check, and `from_json`
+reading back what `json_fields` writes."""
 
 from __future__ import annotations
 
@@ -18,12 +19,13 @@ from hypothesis import strategies as st
 
 from invigil.audio.dsp import PcmWindow, Spectrogram
 from invigil.audio.train import CVReport, TrainingConfig
-from invigil.config import BadConfig, config_from_dict
-from invigil.errors import _MAX_OPENERS, _stdlib_decode, decode_json, json_document, json_fields
+from invigil.config import BadConfig, EngineConfig, config_from_dict
+from invigil.errors import _MAX_OPENERS, _stdlib_decode, decode_json, from_json, json_document, json_fields
 from invigil.events import AudioWindowPayload
 from invigil.facematch import Embedding, ReferenceSet
-from invigil.objectgate import AccuracyTable
+from invigil.objectgate import AccuracyTable, DeviceThresholds
 from invigil.segmentation import Frame, PersonMask
+from invigil.simulator import InvalidSpec, ScenarioSpec, random_scenario
 
 # ---------------------------------------------------------------------------
 # decode_json against the stdlib decoder
@@ -294,7 +296,73 @@ def test_an_int_beyond_float64_is_not_a_finite_number():
     # decode_json keeps such an int out of JSON input, but a library caller can pass one
     with pytest.raises(BadConfig, match="face_threshold must be a finite number"):
         config_from_dict({"face_threshold": 10**400})
-    with pytest.raises(BadConfig, match="iou threshold for 'person' must be a finite number"):
+    with pytest.raises(BadConfig, match=r"iou_thresholds\['person'\] must be a finite number"):
         config_from_dict({"iou_thresholds": {"person": 10**400}})
     with pytest.raises(ValueError, match="learning_rate must be a finite number"):
         TrainingConfig(learning_rate=10**400)
+
+
+# ---------------------------------------------------------------------------
+# from_json reads back what json_fields writes
+
+
+def _read_back(value):
+    error = {EngineConfig: BadConfig, ScenarioSpec: InvalidSpec, TrainingConfig: ValueError}[type(value)]
+    return from_json(type(value), decode_json(json_document(value.to_dict()).decode()), "document", error)
+
+
+_UNIT = st.floats(0.0, 1.0)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_INT64 = 2**63 - 1
+
+
+@st.composite
+def _engine_configs(draw):
+    low, high = sorted(draw(st.tuples(_UNIT, _UNIT)))
+    recheck_min = draw(st.integers(0, _INT64 - 1))
+    return EngineConfig(
+        face_threshold=draw(_POSITIVE),
+        device_thresholds=DeviceThresholds(low=low, high=high),
+        person_score_min=draw(_UNIT),
+        absence_long_ms=draw(st.integers(recheck_min + 1, _INT64)),
+        absence_recheck_min_ms=recheck_min,
+        evidence_clip_ms=draw(st.integers(1, _INT64)),
+        max_fps=draw(_POSITIVE),
+        voice_threshold=draw(_UNIT),
+        reference_count=draw(st.integers(1, _INT64)),
+        iou_thresholds=draw(st.dictionaries(st.text(max_size=8), _UNIT, max_size=4)),
+        blur_radius=draw(st.integers(1, _INT64)),
+        recheck_on_any_return=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_engine_configs())
+def test_from_json_reads_back_a_drawn_engine_config(cfg):
+    assert _read_back(cfg) == cfg
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        EngineConfig(),
+        TrainingConfig(),
+        TrainingConfig(learning_rate=0.5, batch_size=3, max_epochs=7, patience=2, val_fraction=0.25),
+        ScenarioSpec(duration_ms=1000),
+        *(random_scenario(seed) for seed in range(8)),
+    ],
+    ids=repr,
+)
+def test_from_json_reads_back_what_json_fields_writes(value):
+    back = _read_back(value)
+    assert back == value
+    assert json_document(back.to_dict()) == json_document(value.to_dict())
+
+
+def test_from_json_reads_json_numbers_as_their_field_says():
+    # a float field given a JSON integer holds a float, so it prints as one
+    cfg = config_from_dict({"max_fps": 5, "device_thresholds": {"low": 0, "high": 1}})
+    assert type(cfg.max_fps) is float and type(cfg.device_thresholds.low) is float
+    assert type(TrainingConfig(learning_rate=1).learning_rate) is float
+    with pytest.raises(BadConfig, match="absence_long_ms must be an integer, got 10000.0"):
+        config_from_dict({"absence_long_ms": 10000.0})

@@ -146,6 +146,11 @@ def test_invalid_utf8_names_line(small_log):
         ("voice_threshold", True, "voice_threshold must be a finite number"),
         ("reference_count", 20.0, "reference_count must be an integer"),
         ("max_fps", 10**400, "not valid JSON: integer with 401 digits is beyond the float64 range"),
+        ("recheck_on_any_return", "false", "recheck_on_any_return must be true or false, got 'false'"),
+        ("recheck_on_any_return", 0, "recheck_on_any_return must be true or false, got 0"),
+        ("recheck_on_any_return", None, "recheck_on_any_return must be true or false, got None"),
+        ("device_thresholds", {"low": 0.2}, "missing key 'device_thresholds.high'"),
+        ("not_a_key", 1, "unknown key 'not_a_key'"),
     ],
 )
 def test_header_config_types_and_finiteness(small_log, key, value, message):

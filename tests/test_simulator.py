@@ -90,7 +90,17 @@ def test_scenario_duration_is_bounded():
 
 @pytest.mark.parametrize(
     "doc, message",
-    [([], "must be a JSON object"), ({"duration_ms": float("inf")}, "duration_ms must be an integer, got inf")],
+    [
+        ([], "scenario must be an object"),
+        ({"duration_ms": float("inf")}, "duration_ms must be an integer, got inf"),
+        # a key that names no field is refused, not ignored
+        ({"duration_ms": 15000, "seeds": 7}, "unknown key 'seeds'"),
+        (
+            {"duration_ms": 15000, "episodes": [{"kind": "phone_use", "start_ms": 0, "length_ms": 100, "intensty": 0.5}]},
+            r"unknown key 'episodes\[0\].intensty'",
+        ),
+        ({"episodes": []}, "missing key 'duration_ms'"),
+    ],
 )
 def test_scenario_from_dict_rejects_non_objects_and_infinity(doc, message):
     with pytest.raises(InvalidSpec, match=message):
