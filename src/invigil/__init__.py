@@ -6,73 +6,3 @@ flags: absence, impostor, extra persons, phone or laptop use, speech.
 Ships with a scenario simulator, a small numpy voice classifier, and
 evaluation harnesses for detections and flags.
 """
-
-from __future__ import annotations
-
-from .config import BadConfig, EngineConfig
-from .errors import EngineError
-from .events import (
-    EventKind,
-    SensorEvent,
-    SessionLog,
-    parse_session_log,
-    resample_frames,
-    serialize_session_log,
-)
-from .facematch import Embedding, ReferenceSet, Verdict, classify_identity
-from .pipeline import (
-    EvidenceClipRequest,
-    FlagEvent,
-    FlagKind,
-    PipelineState,
-    SessionLabel,
-    SessionReport,
-    finalize_report,
-    report_to_json,
-    run_session,
-    step,
-)
-from .simulator import (
-    Episode,
-    EpisodeKind,
-    GroundTruth,
-    Metrics,
-    ScenarioSpec,
-    evaluate_reports,
-    generate_session,
-)
-
-__all__ = [
-    "BadConfig",
-    "Embedding",
-    "EngineConfig",
-    "EngineError",
-    "Episode",
-    "EpisodeKind",
-    "EventKind",
-    "EvidenceClipRequest",
-    "FlagEvent",
-    "FlagKind",
-    "GroundTruth",
-    "Metrics",
-    "PipelineState",
-    "ReferenceSet",
-    "ScenarioSpec",
-    "SensorEvent",
-    "SessionLabel",
-    "SessionLog",
-    "SessionReport",
-    "Verdict",
-    "classify_identity",
-    "evaluate_reports",
-    "finalize_report",
-    "generate_session",
-    "parse_session_log",
-    "report_to_json",
-    "resample_frames",
-    "run_session",
-    "serialize_session_log",
-    "step",
-]
-
-__version__ = "0.1.0"

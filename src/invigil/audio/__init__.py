@@ -1,43 +1,2 @@
 """Audio path: spectrogram DSP, the voice/non-voice classifier, and the
 training and cross-validation procedures around it."""
-
-from .dsp import PcmWindow, Spectrogram, WindowTooShort, stft_spectrogram
-from .model import (
-    ShapeMismatch,
-    VoiceModel,
-    band_contrast_model,
-    classify_window,
-    default_voice_model,
-    load_model,
-    save_model,
-)
-from .train import (
-    CVReport,
-    DivergedLoss,
-    EmptyDataset,
-    TooFewSamples,
-    TrainingConfig,
-    cross_validate,
-    train_voice_model,
-)
-
-__all__ = [
-    "PcmWindow",
-    "Spectrogram",
-    "WindowTooShort",
-    "stft_spectrogram",
-    "ShapeMismatch",
-    "VoiceModel",
-    "band_contrast_model",
-    "classify_window",
-    "default_voice_model",
-    "load_model",
-    "save_model",
-    "CVReport",
-    "DivergedLoss",
-    "EmptyDataset",
-    "TooFewSamples",
-    "TrainingConfig",
-    "cross_validate",
-    "train_voice_model",
-]

@@ -49,18 +49,6 @@ _stdlib_decode = json.JSONDecoder(parse_int=_float64_int).decode
 _MAX_OPENERS = 512
 
 
-def _few_openers(text: str) -> bool:
-    n = 0
-    for opener in "[{":
-        i = text.find(opener)
-        while i != -1:
-            n += 1
-            if n > _MAX_OPENERS:
-                return False
-            i = text.find(opener, i + 1)
-    return True
-
-
 def decode_json(text: str) -> Any:
     """The JSON value of `text`, as the stdlib decoder above gives it.
 
@@ -70,7 +58,7 @@ def decode_json(text: str) -> Any:
     message. The one difference: orjson reads an integer literal outside
     [-2**63, 2**64) as a float, which an integer field then refuses.
     """
-    if _few_openers(text):
+    if text.count("[") + text.count("{") <= _MAX_OPENERS:
         try:
             return orjson.loads(text)
         except orjson.JSONDecodeError:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invigil import errors
 from invigil.audio.dsp import PcmWindow, Spectrogram
 from invigil.audio.train import CVReport, TrainingConfig
 from invigil.config import BadConfig, EngineConfig, config_from_dict
@@ -144,6 +145,15 @@ def test_decode_json_reads_any_text_as_stdlib(text):
 def test_decode_json_reads_deep_nesting_as_stdlib(depth, opener, closer):
     text = opener * depth + "1" + closer * depth
     assert _outcome(decode_json, text) == _outcome(_stdlib_decode, text)  # no floats, so == is exact
+
+
+def test_decode_json_counts_openers_inside_a_string(monkeypatch):
+    # the bound counts every `[` and `{`, quoted ones too, so this text goes to the stdlib decoder
+    text = '"' + "[" * 600 + '"'
+    texts = []
+    monkeypatch.setattr(errors, "_stdlib_decode", lambda t: texts.append(t) or _stdlib_decode(t))
+    assert decode_json(text) == _stdlib_decode(text) == "[" * 600
+    assert texts == [text]
 
 
 _RNG = np.random.default_rng(5)

@@ -1,20 +1,28 @@
-"""Import hygiene of the engine, read from its source with `ast`.
+"""Import hygiene of the engine, read from its source with `ast` and
+checked in a fresh interpreter.
 
 No module imports a name it never uses (`# noqa: F401` on the import
 line keeps one on purpose), no module reaches into another's private
 `_` names, and `errors`, the bottom of the import graph, imports no
-other engine module.
+other engine module. Each module imports on its own, and loads only the
+engine modules it uses: the packages re-export nothing.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "invigil"
 MODULES = sorted(SRC.rglob("*.py"))
+ENGINE = sorted(".".join(p.relative_to(SRC.parent).with_suffix("").parts).removesuffix(".__init__") for p in MODULES)
 
 
 def _tree(path: Path) -> ast.Module:
@@ -111,3 +119,32 @@ def test_the_scan_sees_an_unused_and_a_private_import():
     assert _unused_imports(source) == [(1, "json")]
     (node,) = _engine_imports(ast.parse(source))
     assert [alias.name for alias in node.names] == ["_as_samples"]
+
+
+@cache
+def _loaded_alone(module: str) -> frozenset[str]:
+    """The engine modules a fresh interpreter holds after importing `module` and nothing else."""
+    code = f"import json, sys, {module}; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'invigil']))"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    return frozenset(json.loads(run.stdout))
+
+
+@pytest.mark.parametrize("module", ENGINE)
+def test_each_engine_module_imports_alone(module):
+    # a cycle that importing the package first would hide fails here
+    assert module in _loaded_alone(module)
+
+
+def test_events_loads_no_pipeline_simulator_or_audio_module():
+    unwanted = ("invigil.pipeline", "invigil.simulator", "invigil.audio")
+    assert sorted(m for m in _loaded_alone("invigil.events") if m.startswith(unwanted)) == []
+
+
+def test_dsp_loads_neither_the_model_nor_training():
+    assert _loaded_alone("invigil.audio.dsp") & {"invigil.audio.model", "invigil.audio.train"} == set()
