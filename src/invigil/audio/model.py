@@ -31,6 +31,7 @@ cache after its layer.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +53,10 @@ class ShapeMismatch(EngineError):
 
 class BadModelFile(EngineError):
     """The model container is truncated or inconsistent."""
+
+
+class NonFiniteOutput(EngineError):
+    """A voice model gave a probability that is not a finite number."""
 
 
 def _bias_grad(dflat: np.ndarray) -> np.ndarray:
@@ -500,8 +505,11 @@ def load_model(path: str | Path) -> VoiceModel:
         take(name_len)  # names are informational; order is authoritative
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape)
+        data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4")  # Python ints: no wrap-around
+        try:
+            data = data.reshape(shape)
+        except ValueError as exc:  # more dimensions than numpy allows
+            raise BadModelFile(f"{path}: bad tensor shape: {exc}") from exc
         tensors.append(np.array(data, dtype=np.float32))
     if pos != len(view):
         raise BadModelFile(f"{path}: {len(view) - pos} trailing bytes")

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import EngineError, as_int, as_object, as_str, check_fields, decode_json, json_fields
+from ..errors import EngineError, as_int, as_str, check_fields, json_fields, json_lines
 from ..events import pcm_samples
 from .dsp import PcmWindow, Spectrogram, WindowWorkspace, stft_spectrogram
 from .model import ShapeMismatch, VoiceModel, default_voice_model, softmax
@@ -330,16 +330,12 @@ def load_corpus(corpus_dir: str | Path, manifest_path: str | Path) -> list[tuple
     items: list[tuple[PcmWindow, str]] = []
     # read as bytes, so a line that is not UTF-8 is a bad record of its own line
     with open(manifest_path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, rec in json_lines(fh, f"{manifest_path}:", EngineError):
             try:
-                rec = as_object(decode_json(line.decode("utf-8")), "record")
                 rel = as_str(rec["path"], "path")
                 label = as_str(rec["label"], "label")
                 rate = as_int(rec.get("sample_rate", 16_000), "sample_rate")
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            except (KeyError, ValueError) as exc:
                 raise EngineError(f"{manifest_path}:{lineno}: bad manifest record: {exc}") from exc
             if label not in _LABEL_INDEX:
                 raise EngineError(

@@ -3,7 +3,8 @@
 This module imports no other engine module: it is the bottom of the
 import graph, so any module can import from it without a cycle. Besides
 `EngineError` it holds `decode_json`, the decoder of every JSON file the
-engine reads (orjson, with the stdlib decoder for what orjson refuses);
+engine reads (orjson, with the stdlib decoder for what orjson refuses),
+and `json_lines`, the one reader of the JSON-lines inputs through it;
 `as_int`, `as_number`, `as_finite`, `as_bool`, `as_str`, `as_object`
 and `as_list`, which return a JSON value or raise naming its field where
 a constructor would coerce a bool, float or string; `arrays_eq`, the
@@ -19,7 +20,7 @@ import sys
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import cache
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 import orjson
@@ -64,6 +65,30 @@ def decode_json(text: str) -> Any:
         except orjson.JSONDecodeError:
             pass
     return _stdlib_decode(text)
+
+
+def json_lines(lines: Iterable[bytes | str], where: str, error: type[Exception]) -> Iterator[tuple[int, dict]]:
+    """(line number, JSON object) of each non-blank line, decoded one at a time.
+
+    A line is blank when it is empty or all whitespace (`str.isspace`). A line
+    that is not UTF-8, not JSON or not an object raises `error`, its message
+    starting with `where` and the line number.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{where}{lineno}: not valid UTF-8: {exc}") from exc
+        if not line or line.isspace():
+            continue
+        try:
+            rec = decode_json(line)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{where}{lineno}: not valid JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise error(f"{where}{lineno}: record must be a JSON object")
+        yield lineno, rec
 
 
 def as_int(value: Any, what: str, error: type[Exception] = ValueError) -> int:

@@ -29,7 +29,8 @@ and `check_score`). The parser adds what JSON needs on top: present keys,
 and JSON types where a constructor would coerce a bool, float or string,
 checked with `errors.as_int`, `as_number`, `as_str` and `as_object`, which
 the other JSON readers use too. It re-raises whatever a check raises as a
-`MalformedRecord` that names the line. The decoder, `errors.decode_json`
+`MalformedRecord` that names the line. Lines are read by `errors.json_lines`,
+as the other JSON-lines inputs are. Its decoder, `errors.decode_json`
 (orjson, or the stdlib decoder for what orjson refuses), turns away
 integers beyond the float64 range and over-deep nesting, and reads an
 integer outside [-2**63, 2**64) as a float, which `t_ms` then refuses.
@@ -65,7 +66,7 @@ from typing import Any, Callable, Iterable, Iterator, Union
 import numpy as np
 
 from .config import EngineConfig, config_from_dict
-from .errors import EngineError, arrays_eq, as_int, as_number, as_object, as_str, decode_json
+from .errors import EngineError, arrays_eq, as_int, as_number, as_object, as_str, json_lines
 from .facematch import Embedding, ReferenceSet
 from .objectgate import BoundingBox, Detection, check_box, check_score
 
@@ -345,25 +346,6 @@ class SessionStream:
         return _events(self.records, None if max_fps is None else frame_rate_cap(max_fps))
 
 
-def _records(lines: Iterable[bytes | str]) -> Iterator[tuple[int, dict]]:
-    """(line number, JSON object) of each non-blank line, decoded one at a time."""
-    for lineno, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise MalformedRecord(f"line {lineno}: not valid UTF-8: {exc}") from exc
-        if not line or line.isspace():
-            continue
-        try:
-            rec = decode_json(line)
-        except (ValueError, RecursionError) as exc:
-            raise MalformedRecord(f"line {lineno}: not valid JSON: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise MalformedRecord(f"line {lineno}: record must be a JSON object")
-        yield lineno, rec
-
-
 def _events(
     records: Iterator[tuple[int, dict]], keep: Callable[[int, EventKind], bool] | None
 ) -> Iterator[tuple[int, SensorEvent]]:
@@ -413,7 +395,7 @@ def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
     when timestamps go backwards, and MissingReferences when the
     reference-embeddings record is absent.
     """
-    records = _records(lines)
+    records = json_lines(lines, "line ", MalformedRecord)
     first = next(records, None)
     if first is None:
         raise MissingReferences("empty log: no reference embeddings")

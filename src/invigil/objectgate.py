@@ -15,7 +15,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import EngineError, as_list, as_number, as_object, as_str, decode_json, json_fields
+from .errors import EngineError, as_list, as_number, as_object, as_str, json_fields, json_lines
 
 PERSON = "person"
 PHONE = "phone"
@@ -270,19 +270,15 @@ def read_detection_dataset(
 
     # read as bytes, so a line that is not UTF-8 is a bad record of its own line
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, rec in json_lines(fh, f"{path}:", EngineError):
             try:
-                rec = as_object(decode_json(line.decode("utf-8")), "record")
                 frame_id = as_str(rec["frame_id"], "frame_id")
                 gt = [(as_str(item["class"], "class"), box(item["box"])) for item in items(rec, "gt")]
                 pred = [
                     (as_str(item["class"], "class"), box(item["box"]), score(item["score"]))
                     for item in items(rec, "pred")
                 ]
-            except (EngineError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            except (EngineError, KeyError, ValueError) as exc:
                 raise EngineError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
             check_classes(gt, iou_thresholds, f"{path}:{lineno}: ")
             yield frame_id, gt, pred

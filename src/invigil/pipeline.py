@@ -10,12 +10,15 @@ flag time. A session with no flags is Clean, anything else is Suspect.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
+import numpy as np
+
 from .audio.dsp import PcmWindow, WindowWorkspace, stft_spectrogram
-from .audio.model import VoiceModel, band_contrast_model, classify_window
+from .audio.model import NonFiniteOutput, VoiceModel, band_contrast_model, classify_window
 from .config import EngineConfig
 from .errors import EngineError, json_document, json_fields
 from .events import (
@@ -220,7 +223,10 @@ def _step_audio(
         )
     window = PcmWindow(sample_rate=payload.sample_rate, samples=payload.samples)
     spec = stft_spectrogram(window, workspace=workspace)
-    prob = classify_window(spec, voice_model, workspace=workspace)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite probability
+        prob = classify_window(spec, voice_model, workspace=workspace)
+    if not math.isfinite(prob):
+        raise NonFiniteOutput(f"voice model gave probability {prob} for the audio window at t={ev.t_ms}")
     if prob <= cfg.voice_threshold:
         state.in_voice_run = False
     elif not state.in_voice_run:

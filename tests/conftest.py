@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import json
 import os
 import sys
 
@@ -12,6 +14,7 @@ assert "numpy" not in sys.modules, "numpy loaded before tests/conftest.py could 
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from invigil.config import EngineConfig
 from invigil.events import (
@@ -133,3 +136,55 @@ def fuzz_log(
             devices.append((label, round(float(rng.uniform(0.0, 1.0)), 4)))
         events.append(frame_event(t, persons=persons, devices=tuple(devices)))
     return make_log(events, refs)
+
+
+# ---------------------------------------------------------------------------
+# fuzz strategies for the readers of JSON lines and side files
+
+
+def json_slots(node):
+    """(container, key) of every object member and of the first item of every list."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield node, key
+            yield from json_slots(value)
+    elif isinstance(node, list) and node:
+        yield node, 0
+        yield from json_slots(node[0])
+
+
+FUZZ_VALUES = st.sampled_from([None, "x", -1, -0.5, float("nan"), {"a": 1}, 10**400])
+
+
+@st.composite
+def mutated_bytes(draw, data):
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["flip", "insert", "delete"]))
+        at = draw(st.integers(0, len(data) - (op != "insert")))
+        if op == "flip":
+            data[at] ^= draw(st.integers(1, 255))
+        elif op == "insert":
+            data[at:at] = bytes([draw(st.integers(0, 255))])
+        else:
+            del data[at : at + draw(st.integers(1, 8))]
+    return bytes(data)
+
+
+@st.composite
+def fuzzed_json_lines(draw, records):
+    """The JSON lines of `records`, broken one way: arbitrary bytes, a few byte
+    edits, or a few members deleted or set to odd values."""
+    how = draw(st.sampled_from(["bytes", "edits", "members"]))
+    if how == "bytes":
+        return draw(st.binary(max_size=300))
+    if how == "edits":
+        return draw(mutated_bytes(b"".join(json.dumps(rec).encode() + b"\n" for rec in records)))
+    records = copy.deepcopy(records)
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from([slot for rec in records for slot in json_slots(rec)]))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(draw(FUZZ_VALUES))  # a later edit may reach into it
+    return b"".join(json.dumps(rec).encode() + b"\n" for rec in records)

@@ -542,6 +542,37 @@ def test_load_rejects_future_format_version(tmp_path):
         load_model(path)
 
 
+def _with_first_tensor_shape(path, shape) -> None:
+    """Rewrite the dimensions in the first tensor header of the container at `path`; the data stays."""
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", raw, 12)
+    pos = 16 + meta_len + 4
+    (name_len,) = struct.unpack_from("<H", raw, pos)
+    pos += 2 + name_len
+    ndim = raw[pos]
+    header = struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+    path.write_bytes(raw[:pos] + header + raw[pos + 1 + 4 * ndim :])
+
+
+def test_load_rejects_tensor_size_that_wraps_in_int64(tmp_path):
+    path = tmp_path / "m.ivm"
+    save_model(band_contrast_model(), path)
+    # np.prod of these uint32 dimensions is 2**64, which wraps to 0 in int64
+    _with_first_tensor_shape(path, (2**31, 2**31, 4, 1))
+    with pytest.raises(BadModelFile, match=re.escape(f"{path}: truncated at byte")):
+        load_model(path)
+
+
+def test_load_rejects_tensor_with_more_dimensions_than_numpy_allows(tmp_path):
+    path = tmp_path / "m.ivm"
+    model = band_contrast_model()
+    save_model(model, path)
+    shape = model.parameters()[0][1].shape
+    _with_first_tensor_shape(path, (*shape, *[1] * (65 - len(shape))))  # the data still fits
+    with pytest.raises(BadModelFile, match=re.escape(f"{path}: bad tensor shape: ")):
+        load_model(path)
+
+
 def _with_metadata(path, meta) -> None:
     """Replace the JSON metadata of the container at `path`; a str is written as is."""
     raw = path.read_bytes()

@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import fuzzed_json_lines, mutated_bytes
 from invigil.audio.dsp import Spectrogram
 from invigil.audio.model import default_voice_model
 from invigil.audio.train import (
@@ -22,6 +25,8 @@ from invigil.audio.train import (
     train_voice_model,
 )
 from invigil.errors import EngineError
+from invigil.events import pcm_bytes
+from invigil.simulator import synth_audio
 
 SHAPE = (12, 17)  # smallest grid the conv stack accepts, frame_len 32
 
@@ -335,6 +340,37 @@ def test_load_corpus_names_line_of_unusable_pcm(tmp_path, raw, message):
         load_corpus(tmp_path, manifest)
     assert str(err.value).startswith(f"{manifest}:3: b.pcm: ")
     assert message in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def corpus_fixture(tmp_path_factory):
+    """A directory of two PCM windows, and the manifest records that list them."""
+    root = tmp_path_factory.mktemp("corpusfuzz")
+    records = []
+    for i, (kind, label) in enumerate([("voiced", "voice"), ("unvoiced", "non-voice")]):
+        (root / f"w{i}.pcm").write_bytes(pcm_bytes(synth_audio(kind, seed=i).samples))
+        records.append({"path": f"w{i}.pcm", "label": label, "sample_rate": 16000})
+    return root, records
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_load_corpus_fuzzed_gives_items_or_an_engine_error(corpus_fixture, data):
+    # a bare ValueError or OSError is an escape, though the CLI would still catch it
+    root, records = corpus_fixture
+    manifest, pcm_path = root / "manifest.jsonl", root / "w0.pcm"
+    pcm = pcm_path.read_bytes()
+    try:
+        if data.draw(st.booleans()):
+            manifest.write_bytes(data.draw(fuzzed_json_lines(records)))
+        else:
+            manifest.write_bytes(b"".join(json.dumps(rec).encode() + b"\n" for rec in records))
+            pcm_path.write_bytes(data.draw(mutated_bytes(pcm)))
+        load_corpus(root, manifest)
+    except EngineError:
+        pass
+    finally:
+        pcm_path.write_bytes(pcm)
 
 
 def test_load_corpus_empty_manifest(tmp_path):

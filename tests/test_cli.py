@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invigil import cli
-from invigil.audio.model import ShapeMismatch, band_contrast_model, load_model, save_model
+from invigil.audio.model import Dense, Flatten, ShapeMismatch, VoiceModel, band_contrast_model, load_model, save_model
 from invigil.config import EngineConfig
 from invigil.errors import EngineError
 from invigil.events import (
@@ -47,7 +48,7 @@ from invigil.simulator import (
     synth_audio,
 )
 
-from conftest import frame_event, make_log, make_reference_set
+from conftest import FUZZ_VALUES, frame_event, json_slots, make_log, make_reference_set, mutated_bytes
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -389,6 +390,30 @@ def test_analyze_refuses_a_voice_model_for_another_window_before_reading_events(
         replay_events(stream.reference_embeddings, stream.session_id, stream.events(), EngineConfig(), load_model(model))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda w, b: (w, np.array([0.0, np.nan], dtype=np.float32)), id="nan-bias"),
+        # finite weights whose logits overflow; before, numpy's warnings reached stderr too
+        pytest.param(lambda w, b: (np.full_like(w, 3e38), b), id="overflowing-weights"),
+    ],
+)
+def test_analyze_refuses_a_voice_model_with_non_finite_output(assets, tmp_path, edit):
+    # before, the whole session replayed and rendering the report failed
+    # with a ValueError that named neither the model nor a line
+    band = band_contrast_model()
+    w, b = edit(band.layers[1].w, band.layers[1].b)
+    save_model(VoiceModel([Flatten(), Dense(w, b)], band.input_shape), tmp_path / "m.ivm")
+    log = assets / "speech.jsonl"
+    proc = run_cli("analyze", "--log", str(log), "--voice-model", str(tmp_path / "m.ivm"), "--out", str(tmp_path / "r.json"))
+    assert proc.returncode == 1
+    (record,) = proc.stderr.splitlines()
+    err = json.loads(record)
+    assert err["error"] == "NonFiniteOutput"
+    lineno = _audio_lines(log)[0][0]
+    assert err["message"].startswith(f"line {lineno}: voice model gave probability nan for the audio window at t=")
+
+
 def test_analyze_validates_frames_the_rate_cap_drops(identity, tmp_path):
     _, refs = identity
     log = make_log([frame_event(0), frame_event(100), frame_event(400)], refs)
@@ -525,7 +550,7 @@ _BIG_INT = "1" + "0" * 400
     [
         ("simulate", _NEST, "InvalidSpec", "{path}: maximum recursion depth exceeded"),
         ("simulate", '{"duration_ms": ' + _BIG_INT + "}", "InvalidSpec", "{path}: integer with 401 digits"),
-        ("train-voice", _NEST, "EngineError", "{path}:1: bad manifest record: maximum recursion depth"),
+        ("train-voice", _NEST, "EngineError", "{path}:1: not valid JSON: maximum recursion depth"),
         (
             "train-voice",
             '{"path": "w.pcm", "label": "voice", "sample_rate": 1e400}',
@@ -549,7 +574,6 @@ _BIG_INT = "1" + "0" * 400
                 ('{"frame_id": 7, "gt": []}', "frame_id must be a string, got 7"),
                 ('{"frame_id": "f", "gt": [{"class": 5, "box": {"x": 0, "y": 0, "w": 9, "h": 9}}]}', "class must be a string, got 5"),
                 # before, each of these read as Python's indexing error
-                ("[1, 2]", "record must be an object"),
                 ('{"frame_id": "f", "gt": {"class": "person"}}', "gt must be a list"),
                 ('{"frame_id": "f", "gt": [], "pred": [7]}', "pred item must be an object"),
                 (
@@ -558,11 +582,14 @@ _BIG_INT = "1" + "0" * 400
                 ),
             ]
         ),
-        ("train-voice", '"w.pcm"', "EngineError", "{path}:1: bad manifest record: record must be an object"),
+        *(
+            (command, record, "EngineError", "{path}:1: record must be a JSON object")
+            for command, record in [("train-voice", '"w.pcm"'), ("eval-objects", "[1, 2]")]
+        ),
         # a line that is not UTF-8 is a bad record of its own line, not a bare UnicodeDecodeError
         *(
-            (command, b'\n{"path": "\xff"}\n', "EngineError", "{path}:2: bad " + what + " record: 'utf-8' codec can't")
-            for command, what in [("train-voice", "manifest"), ("eval-objects", "dataset")]
+            (command, b'\n{"path": "\xff"}\n', "EngineError", "{path}:2: not valid UTF-8: 'utf-8' codec can't")
+            for command in ["train-voice", "eval-objects"]
         ),
         (
             "eval-objects",
@@ -576,14 +603,14 @@ _BIG_INT = "1" + "0" * 400
             "EngineError",
             "{path}:1: missing.pcm: [Errno 2] No such file or directory",
         ),
-        ("eval-objects", _NEST, "EngineError", "{path}:1: bad dataset record: maximum recursion depth"),
+        ("eval-objects", _NEST, "EngineError", "{path}:1: not valid JSON: maximum recursion depth"),
         (
             "eval-objects",
             '{"frame_id": "f", "gt": [{"class": "person", "box": {"x": 0, "y": 0, "w": '
             + _BIG_INT
             + ', "h": 1}}]}',
             "EngineError",
-            "{path}:1: bad dataset record: integer with 401 digits is beyond the float64 range",
+            "{path}:1: not valid JSON: integer with 401 digits is beyond the float64 range",
         ),
         # numbers are JSON numbers, as in a session log; before, each of these
         # was coerced and the command exited 0
@@ -739,20 +766,6 @@ def fuzz_fixture(tmp_path_factory):
     return root, serialize_session_log(log).splitlines()
 
 
-def _json_slots(node):
-    """(container, key) of every object member and of the first item of every list."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield node, key
-            yield from _json_slots(value)
-    elif isinstance(node, list) and node:
-        yield node, 0
-        yield from _json_slots(node[0])
-
-
-_FUZZ_VALUES = st.sampled_from([None, "x", -1, -0.5, float("nan"), {"a": 1}, 10**400])
-
-
 @st.composite
 def _mutated_log(draw, lines):
     lines = list(lines)
@@ -781,14 +794,14 @@ def _mutated_log(draw, lines):
             records[i]["t_ms"], records[j]["t_ms"] = records[j]["t_ms"], records[i]["t_ms"]
             lines[i], lines[j] = json.dumps(records[i]).encode(), json.dumps(records[j]).encode()
             continue
-        slots = [(c, k) for c, k in _json_slots(records[i]) if op == "set" or isinstance(c, dict)]
+        slots = [(c, k) for c, k in json_slots(records[i]) if op == "set" or isinstance(c, dict)]
         if not slots:
             continue
         container, key = draw(st.sampled_from(slots))
         if op == "delete":
             del container[key]
         else:
-            container[key] = draw(_FUZZ_VALUES)
+            container[key] = draw(FUZZ_VALUES)
         lines[i] = json.dumps(records[i]).encode()
     return b"\n".join(lines) + b"\n"
 
@@ -840,21 +853,6 @@ def client_log_fixture(tmp_path_factory):
     return root, serialize_session_log(log)
 
 
-@st.composite
-def _mutated_bytes(draw, data):
-    data = bytearray(data)
-    for _ in range(draw(st.integers(1, 4))):
-        op = draw(st.sampled_from(["flip", "insert", "delete"]))
-        at = draw(st.integers(0, len(data) - (op != "insert")))
-        if op == "flip":
-            data[at] ^= draw(st.integers(1, 255))
-        elif op == "insert":
-            data[at:at] = bytes([draw(st.integers(0, 255))])
-        else:
-            del data[at : at + draw(st.integers(1, 8))]
-    return bytes(data)
-
-
 @given(data=st.data())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_analyze_fuzzed_bytes_give_a_report_or_an_engine_error(client_log_fixture, data):
@@ -863,12 +861,12 @@ def test_analyze_fuzzed_bytes_give_a_report_or_an_engine_error(client_log_fixtur
     pcm_path = root / "audio" / "1000.pcm"
     pcm = pcm_path.read_bytes()
     target = data.draw(st.sampled_from(["log"] * 4 + ["pcm"]))
-    log_path.write_bytes(data.draw(_mutated_bytes(log_bytes)) if target == "log" else log_bytes)
+    log_path.write_bytes(data.draw(mutated_bytes(log_bytes)) if target == "log" else log_bytes)
     out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
         if target == "pcm":
-            pcm_path.write_bytes(data.draw(_mutated_bytes(pcm)))
+            pcm_path.write_bytes(data.draw(mutated_bytes(pcm)))
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.run_cli(["analyze", "--log", str(log_path), "--out", str(out)])
     finally:
@@ -904,16 +902,27 @@ def test_analyze_peak_memory_does_not_grow_with_session_length(tmp_path):
 
 
 def test_bench_tracer_patches_resolve():
-    # the benchmark's traced run wraps engine attributes by name; a rename
-    # in src/ must fail here rather than only under the benchmark
+    # the benchmark's traced run wraps engine attributes by name, and its
+    # inputs, worker and checks import engine names; a rename in src/ must
+    # fail here rather than only under the benchmark
     root = Path(__file__).resolve().parent.parent
+    imports = sorted(
+        (node.module, alias.name)
+        for script in ("prepare.py", "checks.py", "worker.py")
+        for node in ast.walk(ast.parse((root / "bench" / script).read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "invigil"
+        for alias in node.names
+    )
+    assert ("invigil.audio.dsp", "PcmWindow") in imports
     code = (
-        "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+        "import importlib, json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+        "for module, name in json.loads(sys.argv[3]):\n"
+        "    getattr(importlib.import_module(module), name)\n"
         "from tracer import Tracer, install\n"
         "install(Tracer())\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(root / "bench"), str(root / "src")],
+        [sys.executable, "-c", code, str(root / "bench"), str(root / "src"), json.dumps(imports)],
         capture_output=True,
         text=True,
         timeout=120,

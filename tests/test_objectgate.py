@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import fuzzed_json_lines
+from invigil.errors import EngineError
 from invigil.objectgate import (
     DEFAULT_IOU_THRESHOLDS,
     BoundingBox,
@@ -332,3 +334,29 @@ def test_read_detection_dataset_reports_line(tmp_path):
     path.write_text('{"frame_id": "a", "gt": [], "pred": []}\n{"frame_id": 1\n')
     with pytest.raises(EngineError, match="2"):
         list(read_detection_dataset(path, DEFAULT_IOU_THRESHOLDS))
+
+
+_DATASET = [
+    {
+        "frame_id": "f0",
+        "gt": [{"class": "person", "box": {"x": 0, "y": 0, "w": 10, "h": 10}}],
+        "pred": [{"class": "person", "box": {"x": 1, "y": 0, "w": 10, "h": 10}, "score": 0.8}],
+    },
+    {"frame_id": "f1", "gt": [{"class": "phone", "box": {"x": 40, "y": 0, "w": 4, "h": 4}}], "pred": []},
+]
+
+
+@pytest.fixture(scope="module")
+def dataset_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("datasetfuzz") / "frames.jsonl"
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_read_detection_dataset_fuzzed_gives_rows_or_an_engine_error(dataset_path, data):
+    # a bare ValueError or OSError is an escape, though the CLI would still catch it
+    dataset_path.write_bytes(data.draw(fuzzed_json_lines(_DATASET)))
+    try:
+        list(read_detection_dataset(dataset_path, DEFAULT_IOU_THRESHOLDS))
+    except EngineError:
+        pass
