@@ -16,13 +16,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import signal
+import stat
+import struct
 import sys
+import warnings
+from contextlib import closing, suppress
 from pathlib import Path
 
 import numpy as np
 
-from .audio.dsp import spectrogram_shape
-from .audio.model import ShapeMismatch, load_model, save_model
+from .audio.dsp import WindowWorkspace, spectrogram_shape
+from .audio.model import ShapeMismatch, band_contrast_model, load_model, save_model
 from .audio.train import TrainingConfig, cross_validate, load_corpus, train_voice_model
 from .config import BadConfig, EngineConfig
 from .errors import EngineError, as_object, decode_json, from_json, json_document
@@ -32,7 +38,10 @@ from .errors import EngineError, as_object, decode_json, from_json, json_documen
 from .events import (  # noqa: F401
     DEFAULT_SAMPLE_RATE,
     AudioIntegrityError,
+    ClassifiedWindow,
+    EventKind,
     parse_session_log,
+    read_event_line,
     read_session_log,
     resample_frames,
     resolve_audio,
@@ -41,7 +50,7 @@ from .events import (  # noqa: F401
     write_audio_side_files,
 )
 from .objectgate import evaluate_dataset, read_detection_dataset
-from .pipeline import replay_events, report_to_json, run_session
+from .pipeline import replay_events, report_to_json, run_session, window_probability
 from .simulator import evaluate_reports, generate_session, load_scenario_file
 
 
@@ -83,15 +92,141 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     base_dir = Path(args.log).parent
     # a 1 MiB buffer holds several inline-audio lines, so iterating them
     # reads the file in few system calls
-    with open(args.log, "rb", buffering=1 << 20) as lines:
-        log = read_session_log(lines)
+    with open(args.log, "rb", buffering=1 << 20) as fh:
+        log = read_session_log(fh)
         cfg, _ = _load_config(args.config, log.config)
-        model = None if args.voice_model is None else _session_voice_model(args.voice_model)
+        model = band_contrast_model() if args.voice_model is None else _session_voice_model(args.voice_model)
         _print_effective(cfg, None, {"references": len(log.reference_embeddings)})
-        events = _resolved(log.events(cfg.max_fps), base_dir)
-        report = replay_events(log.reference_embeddings, log.session_id, events, cfg, model)
+        with closing(_split_lines(fh, args.log, log.lines, model, base_dir)) as lines:
+            events = _resolved(dataclasses.replace(log, lines=lines).events(cfg.max_fps), base_dir)
+            report = replay_events(log.reference_embeddings, log.session_id, events, cfg, model)
     Path(args.out).write_bytes(report_to_json(report))
     return 0
+
+
+# Inline-audio logs are split between two processes. A line this long can
+# hold an inline one-second window, one digit and one comma per sample, and
+# no shorter line can. From the first such line after the references, a
+# forked helper takes every second one and the parent the others. The helper
+# reads its lines from the file itself, and writes one record per line: line
+# number, line length in bytes, t_ms, voice probability, and whether it
+# declined the line.
+SPLIT_LINE_BYTES = 2 * DEFAULT_SAMPLE_RATE
+_HELPER_RECORD = struct.Struct("<QQQd?")
+
+
+def _split_possible(fh) -> bool:
+    """Whether `analyze` can fork a helper that reopens the log `fh` reads, and has a second CPU to run it on."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    )
+
+
+def _split_lines(fh, path: str, lines, model, base_dir: Path):
+    """The numbered event lines, with the helper's `ClassifiedWindow` in place of each line it classified.
+
+    A line the helper declined, or that it read at another number or length,
+    is passed on as read, and so is every line once the helper has stopped;
+    the reader and the fold then do with it what they do without a helper,
+    so the report and any error are the same. The helper is killed, if it
+    still runs, and waited for when this generator is closed.
+    """
+    for lineno, line in lines:
+        if len(line) >= SPLIT_LINE_BYTES:
+            break
+        yield lineno, line
+    else:
+        return
+    helper = _fork_helper(path, fh.tell() - len(line), lineno, model, base_dir) if _split_possible(fh) else None
+    if helper is None:
+        yield lineno, line
+        yield from lines
+        return
+    pid, pipe = helper
+    try:
+        yield lineno, line
+        long_lines, live = 1, True
+        for lineno, line in lines:
+            if len(line) >= SPLIT_LINE_BYTES:
+                long_lines += 1
+                if long_lines % 2 == 0 and live:
+                    record = pipe.read(_HELPER_RECORD.size)
+                    if len(record) < _HELPER_RECORD.size:
+                        live = False  # the helper has stopped
+                    else:
+                        number, length, t_ms, prob, declined = _HELPER_RECORD.unpack(record)
+                        if (number, length) != (lineno, len(line)):
+                            live = False  # it reads another file now
+                        elif not declined:
+                            line = ClassifiedWindow(t_ms, prob)
+            yield lineno, line
+    finally:
+        pipe.close()
+        with suppress(ChildProcessError):  # reaped already, as where SIGCHLD is ignored
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_helper(path: str, offset: int, lineno: int, model, base_dir: Path):
+    """(pid, read end of its pipe) of a helper forked to run `_helper`; None when it cannot be."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of a fork in a process with threads, such as a BLAS
+            # pool; the helper only runs numpy, and OpenBLAS stops its pool across
+            # a fork (tests/test_analyze_split.py runs the helper with the pool at
+            # its default size)
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            _helper(path, offset, lineno, model, base_dir, write_fd)
+        finally:
+            # no flush of inherited stdio, no finally block or atexit handler of the parent
+            os._exit(0)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _helper(path: str, offset: int, lineno: int, model, base_dir: Path, out: int) -> None:
+    """Classify every second long line from `lineno`, the first, at byte `offset` of the log.
+
+    Each line goes through the reader's per-line check, `resolve_audio` and
+    `window_probability`, as in the parent. A line that is not an audio window,
+    or that raises anything, is declined: the helper never decides an error.
+    """
+    workspace = WindowWorkspace()
+    with open(path, "rb", buffering=1 << 20) as fh:
+        fh.seek(offset)
+        long_lines = 0
+        for lineno, line in enumerate(fh, start=lineno):
+            if len(line) < SPLIT_LINE_BYTES:
+                continue
+            long_lines += 1
+            if long_lines % 2:  # the parent's
+                continue
+            record = None
+            try:
+                ev = read_event_line(lineno, line)
+                if ev is not None and ev.kind is EventKind.AUDIO_WINDOW:
+                    ev = resolve_audio(ev, base_dir)
+                    prob = window_probability(ev, model, workspace)
+                    record = _HELPER_RECORD.pack(lineno, len(line), ev.t_ms, prob, False)
+            except Exception:  # the parent reads the line again and reports what it raises
+                pass
+            os.write(out, record or _HELPER_RECORD.pack(lineno, len(line), 0, 0.0, True))
 
 
 def _session_voice_model(path: str):

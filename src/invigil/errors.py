@@ -4,7 +4,8 @@ This module imports no other engine module: it is the bottom of the
 import graph, so any module can import from it without a cycle. Besides
 `EngineError` it holds `decode_json`, the decoder of every JSON file the
 engine reads (orjson, with the stdlib decoder for what orjson refuses),
-and `json_lines`, the one reader of the JSON-lines inputs through it;
+and `json_lines`, the one reader of the JSON-lines inputs through it,
+with `json_record` for a single line;
 `as_int`, `as_number`, `as_finite`, `as_bool`, `as_str`, `as_object`
 and `as_list`, which return a JSON value or raise naming its field where
 a constructor would coerce a bool, float or string; `arrays_eq`, the
@@ -47,6 +48,8 @@ _stdlib_decode = json.JSONDecoder(parse_int=_float64_int).decode
 # nesting 100,000 deep crashes the process, so text with more `[` and `{`
 # than this goes to the stdlib decoder. The bound is below the stdlib's
 # recursion limit, so orjson never decodes a nesting the stdlib refuses.
+# A text holds no more openers than characters, so a text this short is
+# not counted.
 _MAX_OPENERS = 512
 
 
@@ -59,7 +62,7 @@ def decode_json(text: str) -> Any:
     message. The one difference: orjson reads an integer literal outside
     [-2**63, 2**64) as a float, which an integer field then refuses.
     """
-    if text.count("[") + text.count("{") <= _MAX_OPENERS:
+    if len(text) <= _MAX_OPENERS or text.count("[") + text.count("{") <= _MAX_OPENERS:
         try:
             return orjson.loads(text)
         except orjson.JSONDecodeError:
@@ -67,28 +70,35 @@ def decode_json(text: str) -> Any:
     return _stdlib_decode(text)
 
 
-def json_lines(lines: Iterable[bytes | str], where: str, error: type[Exception]) -> Iterator[tuple[int, dict]]:
-    """(line number, JSON object) of each non-blank line, decoded one at a time.
+def json_record(line: bytes | str, lineno: int, where: str, error: type[Exception]) -> dict | None:
+    """The JSON object on line `lineno`, or None when the line is blank.
 
     A line is blank when it is empty or all whitespace (`str.isspace`). A line
     that is not UTF-8, not JSON or not an object raises `error`, its message
     starting with `where` and the line number.
     """
-    for lineno, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise error(f"{where}{lineno}: not valid UTF-8: {exc}") from exc
-        if not line or line.isspace():
-            continue
+    if isinstance(line, bytes):
         try:
-            rec = decode_json(line)
-        except (ValueError, RecursionError) as exc:
-            raise error(f"{where}{lineno}: not valid JSON: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise error(f"{where}{lineno}: record must be a JSON object")
-        yield lineno, rec
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{where}{lineno}: not valid UTF-8: {exc}") from exc
+    if not line or line.isspace():
+        return None
+    try:
+        rec = decode_json(line)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}{lineno}: not valid JSON: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise error(f"{where}{lineno}: record must be a JSON object")
+    return rec
+
+
+def json_lines(lines: Iterable[bytes | str], where: str, error: type[Exception]) -> Iterator[tuple[int, dict]]:
+    """(line number, JSON object) of each non-blank line, decoded one at a time by `json_record`."""
+    for lineno, line in enumerate(lines, start=1):
+        rec = json_record(line, lineno, where, error)
+        if rec is not None:
+            yield lineno, rec
 
 
 def as_int(value: Any, what: str, error: type[Exception] = ValueError) -> int:

@@ -11,7 +11,8 @@ and references at once; `SessionStream.events(max_fps)` then yields each
 event, decoded and validated, as its line is read, paired with the line's
 number in the file. Nothing of a line is kept once the next one is read,
 so memory does not grow with the session. The first bad line stops the
-read and is the one reported. `parse_session_log` reads the same way with
+read and is the one reported. `read_event_line` checks one event line
+the same way, order aside. `parse_session_log` reads the same way with
 no cap; `resample_frames` applies the same `frame_rate_cap` predicate to
 a whole in-memory `SessionLog`, and `resolve_audio` / `resolve_audio_refs`
 load audio side files per event or per log.
@@ -29,7 +30,7 @@ and `check_score`). The parser adds what JSON needs on top: present keys,
 and JSON types where a constructor would coerce a bool, float or string,
 checked with `errors.as_int`, `as_number`, `as_str` and `as_object`, which
 the other JSON readers use too. It re-raises whatever a check raises as a
-`MalformedRecord` that names the line. Lines are read by `errors.json_lines`,
+`MalformedRecord` that names the line. Lines are decoded by `errors.json_record`,
 as the other JSON-lines inputs are. Its decoder, `errors.decode_json`
 (orjson, or the stdlib decoder for what orjson refuses), turns away
 integers beyond the float64 range and over-deep nesting, and reads an
@@ -37,7 +38,10 @@ integer outside [-2**63, 2**64) as a float, which `t_ms` then refuses.
 
 Each event line is taken in this order: its kind; its payload, checked
 field by field; its `t_ms`; its order against the line before; and last
-the frame-rate cap. Frame payloads are checked in place by the parser,
+the frame-rate cap. A line can also arrive already read, as a
+`ClassifiedWindow`: an audio window that another process checked and
+classified (`analyze` splits long logs so, see `cli`). Of such a line the
+reader checks only the order. Frame payloads are checked in place by the parser,
 with the types' own check functions, and turned into objects only when
 the cap keeps the frame, so a dropped frame costs its checks and nothing
 more; other payloads are built, and so checked, as they are read.
@@ -66,7 +70,7 @@ from typing import Any, Callable, Iterable, Iterator, Union
 import numpy as np
 
 from .config import EngineConfig, config_from_dict
-from .errors import EngineError, arrays_eq, as_int, as_number, as_object, as_str, json_lines
+from .errors import EngineError, arrays_eq, as_int, as_number, as_object, as_str, json_record
 from .facematch import Embedding, ReferenceSet
 from .objectgate import BoundingBox, Detection, check_box, check_score
 
@@ -166,19 +170,32 @@ class AudioWindowPayload:
 
 
 @dataclass(frozen=True)
+class ClassifiedWindow:
+    """An audio window's line as another process read it: the window's t_ms and its voice probability.
+
+    That process ran the line through `read_event_line`, `resolve_audio` and
+    `pipeline.window_probability`, so the fold applies the voice rule to the
+    probability as it would to the window's own.
+    """
+
+    t_ms: int
+    probability: float
+
+
+@dataclass(frozen=True)
 class FrameImageRef:
     """Reference to an evidence frame image on disk (binary PPM)."""
 
     path: str
 
 
-Payload = Union[FrameDetections, FaceEmbeddingPayload, AudioWindowPayload, FrameImageRef]
+Payload = Union[FrameDetections, FaceEmbeddingPayload, AudioWindowPayload, ClassifiedWindow, FrameImageRef]
 
-_PAYLOAD_TYPES: dict[EventKind, type] = {
-    EventKind.FRAME_DETECTIONS: FrameDetections,
-    EventKind.FACE_EMBEDDING: FaceEmbeddingPayload,
-    EventKind.AUDIO_WINDOW: AudioWindowPayload,
-    EventKind.FRAME_IMAGE: FrameImageRef,
+_PAYLOAD_TYPES: dict[EventKind, tuple[type, ...]] = {
+    EventKind.FRAME_DETECTIONS: (FrameDetections,),
+    EventKind.FACE_EMBEDDING: (FaceEmbeddingPayload,),
+    EventKind.AUDIO_WINDOW: (AudioWindowPayload, ClassifiedWindow),
+    EventKind.FRAME_IMAGE: (FrameImageRef,),
 }
 
 
@@ -196,9 +213,8 @@ class SensorEvent:
             object.__setattr__(self, "kind", _event_kind(self.kind))
         expected = _PAYLOAD_TYPES[self.kind]
         if not isinstance(self.payload, expected):
-            raise ValueError(
-                f"payload for {self.kind} must be {expected.__name__}, got {type(self.payload).__name__}"
-            )
+            names = " or ".join(t.__name__ for t in expected)
+            raise ValueError(f"payload for {self.kind} must be {names}, got {type(self.payload).__name__}")
 
 
 @dataclass(frozen=True)
@@ -328,13 +344,13 @@ _RECORD_ERRORS = (EngineError, TypeError, ValueError)
 class SessionStream:
     """A session log opened for one pass: header and references read.
 
-    `events` reads the remaining records; it can be called once.
+    `events` reads the remaining lines, numbered; it can be called once.
     """
 
     session_id: str
     config: EngineConfig
     reference_embeddings: ReferenceSet
-    records: Iterator[tuple[int, dict]]
+    lines: Iterator[tuple[int, bytes | str | ClassifiedWindow]]
 
     def events(self, max_fps: float | None = None) -> Iterator[tuple[int, SensorEvent]]:
         """(line number in the file, SensorEvent) pairs, each checked as its line is read.
@@ -343,34 +359,50 @@ class SessionStream:
         after they are checked, and a frame the cap drops is not yielded
         or built. With None, every event is.
         """
-        return _events(self.records, None if max_fps is None else frame_rate_cap(max_fps))
+        return _events(self.lines, None if max_fps is None else frame_rate_cap(max_fps))
+
+
+def read_event_line(lineno: int, line: bytes | str) -> SensorEvent | None:
+    """The event of one event line, checked as `SessionStream.events` checks it; None for a blank line.
+
+    The order against other lines is not checked, and no frame is dropped.
+    """
+    for _, ev in _events([(lineno, line)], None):
+        return ev
+    return None
 
 
 def _events(
-    records: Iterator[tuple[int, dict]], keep: Callable[[int, EventKind], bool] | None
+    lines: Iterable[tuple[int, bytes | str | ClassifiedWindow]], keep: Callable[[int, EventKind], bool] | None
 ) -> Iterator[tuple[int, SensorEvent]]:
     # Per line: kind, payload, t_ms, order, then the cap. Frame payloads
     # are checked in place and built only for a frame the cap keeps.
     detections, image = EventKind.FRAME_DETECTIONS, EventKind.FRAME_IMAGE  # enum attributes are slow
     last_t = 0
-    for lineno, rec in records:
-        try:
-            kind = _event_kind(_expect(rec, "kind"))
-            payload = _expect(rec, "payload")
-            if type(payload) is not dict:
-                as_object(payload, "payload")
-            if kind is detections:
-                items = _expect(payload, "detections")
-                _check_detections(items)
-            elif kind is image:
-                as_str(_expect(payload, "path"), "image path")
-            else:
-                payload = _parse_payload(kind, payload)
-            t_ms = _expect(rec, "t_ms")
-            if type(t_ms) is not int or t_ms < 0:  # _check_t_ms raises the message
-                _check_t_ms(t_ms)
-        except _RECORD_ERRORS as exc:
-            raise MalformedRecord(f"line {lineno}: {exc}") from exc
+    for lineno, line in lines:
+        if type(line) is ClassifiedWindow:
+            kind, payload, t_ms = EventKind.AUDIO_WINDOW, line, line.t_ms
+        else:
+            rec = json_record(line, lineno, "line ", MalformedRecord)
+            if rec is None:
+                continue
+            try:
+                kind = _event_kind(_expect(rec, "kind"))
+                payload = _expect(rec, "payload")
+                if type(payload) is not dict:
+                    as_object(payload, "payload")
+                if kind is detections:
+                    items = _expect(payload, "detections")
+                    _check_detections(items)
+                elif kind is image:
+                    as_str(_expect(payload, "path"), "image path")
+                else:
+                    payload = _parse_payload(kind, payload)
+                t_ms = _expect(rec, "t_ms")
+                if type(t_ms) is not int or t_ms < 0:  # _check_t_ms raises the message
+                    _check_t_ms(t_ms)
+            except _RECORD_ERRORS as exc:
+                raise MalformedRecord(f"line {lineno}: {exc}") from exc
         if t_ms < last_t:
             raise NonMonotonicTime(
                 f"line {lineno}: t_ms {t_ms} is earlier than previous event at {last_t}"
@@ -395,8 +427,8 @@ def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
     when timestamps go backwards, and MissingReferences when the
     reference-embeddings record is absent.
     """
-    records = json_lines(lines, "line ", MalformedRecord)
-    first = next(records, None)
+    numbered = enumerate(lines, start=1)
+    first = _next_record(numbered)
     if first is None:
         raise MissingReferences("empty log: no reference embeddings")
     lineno, header = first
@@ -410,7 +442,7 @@ def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
     except _RECORD_ERRORS as exc:
         raise MalformedRecord(f"line {lineno}: {exc}") from exc
 
-    second = next(records, None)
+    second = _next_record(numbered)
     if second is None:
         raise MissingReferences("log ends before the reference embeddings record")
     lineno, refs_rec = second
@@ -425,7 +457,16 @@ def read_session_log(lines: Iterable[bytes | str]) -> SessionStream:
         references = ReferenceSet(rows)
     except _RECORD_ERRORS as exc:
         raise MalformedRecord(f"line {lineno}: {exc}") from exc
-    return SessionStream(session_id, config, references, records)
+    return SessionStream(session_id, config, references, numbered)
+
+
+def _next_record(lines: Iterator[tuple[int, bytes | str]]) -> tuple[int, dict] | None:
+    """The number and JSON object of the next non-blank line; None at the end."""
+    for lineno, line in lines:
+        rec = json_record(line, lineno, "line ", MalformedRecord)
+        if rec is not None:
+            return lineno, rec
+    return None
 
 
 def parse_session_log(stream: bytes | str | Iterable[bytes]) -> SessionLog:
@@ -576,7 +617,7 @@ def load_audio_samples(payload: AudioWindowPayload, base_dir: str | Path = ".") 
 
 def resolve_audio(ev: SensorEvent, base_dir: str | Path) -> SensorEvent:
     """The event with a file-referenced audio window loaded inline; any other event as is."""
-    if ev.kind is not EventKind.AUDIO_WINDOW or ev.payload.inline:
+    if type(ev.payload) is not AudioWindowPayload or ev.payload.inline:
         return ev
     samples = load_audio_samples(ev.payload, base_dir)
     return replace(ev, payload=AudioWindowPayload(sample_rate=ev.payload.sample_rate, samples=samples))

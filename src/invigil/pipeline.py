@@ -23,7 +23,7 @@ from .config import EngineConfig
 from .errors import EngineError, json_document, json_fields
 from .events import (
     AudioIntegrityError,
-    AudioWindowPayload,
+    ClassifiedWindow,
     EventKind,
     FaceEmbeddingPayload,
     FrameDetections,
@@ -208,14 +208,13 @@ def _step_embedding(
         _flag(state, FlagKind.ANOTHER_PERSON, ev.t_ms, cfg, distance=decision.min_distance)
 
 
-def _step_audio(
-    state: PipelineState,
-    ev: SensorEvent,
-    payload: AudioWindowPayload,
-    cfg: EngineConfig,
-    voice_model: VoiceModel,
-    workspace: WindowWorkspace | None,
-) -> None:
+def window_probability(ev: SensorEvent, voice_model: VoiceModel, workspace: WindowWorkspace | None) -> float:
+    """The voice probability of an audio-window event's inline samples, by `voice_model`.
+
+    Raises AudioIntegrityError for a window that still references a file,
+    and NonFiniteOutput when the model gives no finite probability.
+    """
+    payload = ev.payload
     if payload.samples is None:
         raise AudioIntegrityError(
             f"audio window at t={ev.t_ms} references {payload.path!r}; "
@@ -227,11 +226,16 @@ def _step_audio(
         prob = classify_window(spec, voice_model, workspace=workspace)
     if not math.isfinite(prob):
         raise NonFiniteOutput(f"voice model gave probability {prob} for the audio window at t={ev.t_ms}")
+    return prob
+
+
+def _step_voice(state: PipelineState, t_ms: int, prob: float, cfg: EngineConfig) -> None:
+    """The voice rule: one flag per run of windows above the threshold."""
     if prob <= cfg.voice_threshold:
         state.in_voice_run = False
     elif not state.in_voice_run:
         state.in_voice_run = True
-        _flag(state, FlagKind.VOICE_DETECTION, ev.t_ms, cfg, score=prob)
+        _flag(state, FlagKind.VOICE_DETECTION, t_ms, cfg, score=prob)
 
 
 def step(
@@ -246,17 +250,22 @@ def step(
     Mutates `state`; the flags so far are in `state.flags`, where a device
     flag is upgraded in place while its run lasts. An audio window is
     classified by `voice_model`, in `workspace` when one is given (see
-    `replay_events`). Events must arrive in non-decreasing t_ms; the fold
-    does not check this. Order is checked where events enter the engine:
-    by the log parser (before the frame-rate cap, which could drop an
-    out-of-order frame) and by `SessionLog` for in-memory logs.
+    `replay_events`); a `ClassifiedWindow` carries its probability. Events
+    must arrive in non-decreasing t_ms; the fold does not check this.
+    Order is checked where events enter the engine: by the log parser
+    (before the frame-rate cap, which could drop an out-of-order frame)
+    and by `SessionLog` for in-memory logs.
     """
     if ev.kind is EventKind.FRAME_DETECTIONS:
         _step_frame(state, ev, ev.payload, cfg)
     elif ev.kind is EventKind.FACE_EMBEDDING:
         _step_embedding(state, ev, ev.payload, cfg)
     elif ev.kind is EventKind.AUDIO_WINDOW:
-        _step_audio(state, ev, ev.payload, cfg, voice_model, workspace)
+        if type(ev.payload) is ClassifiedWindow:
+            prob = ev.payload.probability
+        else:
+            prob = window_probability(ev, voice_model, workspace)
+        _step_voice(state, ev.t_ms, prob, cfg)
     # FrameImage: evidence imagery only; no rule reads it
     state.last_event_t_ms = ev.t_ms
 

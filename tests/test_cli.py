@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invigil import cli
-from invigil.audio.model import Dense, Flatten, ShapeMismatch, VoiceModel, band_contrast_model, load_model, save_model
+from invigil.audio.model import (
+    MODEL_FORMAT_VERSION,
+    MODEL_MAGIC,
+    Conv2D,
+    Dense,
+    Flatten,
+    MaxPool2,
+    ShapeMismatch,
+    VoiceModel,
+    band_contrast_model,
+    load_model,
+    save_model,
+)
 from invigil.config import EngineConfig
 from invigil.errors import EngineError
 from invigil.events import (
@@ -871,6 +886,111 @@ def test_analyze_fuzzed_bytes_give_a_report_or_an_engine_error(client_log_fixtur
             code = cli.run_cli(["analyze", "--log", str(log_path), "--out", str(out)])
     finally:
         pcm_path.write_bytes(pcm)
+    if code == 0:
+        assert stderr.getvalue() == ""
+        json.loads(out.read_bytes(), parse_constant=_reject_constant)
+    else:
+        assert code == 1
+        records = stderr.getvalue().splitlines()
+        assert len(records) == 1
+        assert json.loads(records[0])["error"] in _engine_error_names()
+
+
+@pytest.fixture(scope="module")
+def model_fuzz_fixture(tmp_path_factory):
+    """A 3 s log with inline audio, and the bytes of a small saved conv model for its windows."""
+    root = tmp_path_factory.mktemp("modelfuzz")
+    spec = ScenarioSpec(duration_ms=3000, episodes=(Episode(EpisodeKind.BACKGROUND_SPEECH, 1000, 1500),), seed=5)
+    log, _ = generate_session(spec)
+    (root / "session.jsonl").write_bytes(serialize_session_log(log))
+    rng = np.random.default_rng(0x3D)
+    conv = Conv2D((rng.standard_normal((3, 3, 1, 2)) * 0.3).astype(np.float32), np.full(2, 0.01, np.float32))
+    dense = Dense((rng.standard_normal((29 * 127 * 2, 2)) * 0.01).astype(np.float32), np.zeros(2, np.float32))
+    save_model(VoiceModel([conv, MaxPool2(), Flatten(), dense], (61, 257)), root / "model.ivm")
+    return root, (root / "model.ivm").read_bytes()
+
+
+def _model_container(raw: bytes) -> tuple[dict, list[list]]:
+    """The metadata and the [name, shape, float32 data] tensors of a saved model, read without the loader."""
+    pos = len(MODEL_MAGIC) + 4
+    (meta_len,) = struct.unpack_from("<I", raw, pos)
+    meta = json.loads(raw[pos + 4 : pos + 4 + meta_len])
+    pos += 4 + meta_len
+    (count,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    tensors = []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", raw, pos)
+        name = raw[pos + 2 : pos + 2 + name_len]
+        pos += 2 + name_len
+        ndim = raw[pos]
+        shape = list(struct.unpack_from(f"<{ndim}I", raw, pos + 1))
+        pos += 1 + 4 * ndim
+        size = 4 * math.prod(shape)
+        tensors.append([name, shape, np.frombuffer(raw[pos : pos + size], dtype="<f4").copy()])
+        pos += size
+    return meta, tensors
+
+
+def _model_bytes(meta: dict, tensors: list[list]) -> bytes:
+    meta_bytes = json.dumps(meta).encode()
+    chunks = [MODEL_MAGIC, struct.pack("<II", MODEL_FORMAT_VERSION, len(meta_bytes)), meta_bytes]
+    chunks.append(struct.pack("<I", len(tensors)))
+    for name, shape, data in tensors:
+        chunks += [struct.pack("<H", len(name)), name, struct.pack("<B", len(shape)), struct.pack(f"<{len(shape)}I", *shape)]
+        chunks.append(data.astype("<f4").tobytes())
+    return b"".join(chunks)
+
+
+_LAYER_VALUES = st.sampled_from(["conv2d", "dense", "maxpool2", "flatten", [30, 257], [61, 257, 1], [257, 61], 0])
+_WEIGHT_VALUES = st.sampled_from([np.nan, np.inf, -np.inf, 3e38, -3e38, 1e20])
+
+
+@st.composite
+def _mutated_model(draw, raw):
+    """The saved model broken one to three ways: a metadata field, a tensor
+    shape, NaN or huge weights, then perhaps truncated or byte-edited."""
+    meta, tensors = _model_container(raw)
+    assert _model_bytes(meta, tensors) == raw
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["header", "shape", "weights"]))
+        if op == "header":
+            container, key = draw(st.sampled_from(list(json_slots(meta))))
+            if isinstance(container, dict) and draw(st.booleans()):
+                del container[key]
+            else:
+                container[key] = copy.deepcopy(draw(FUZZ_VALUES | _LAYER_VALUES))
+        elif op == "shape":
+            tensor = draw(st.sampled_from(tensors))
+            if draw(st.booleans()):
+                tensor[1] = draw(st.permutations(tensor[1]))  # the same size, read in another layout
+            else:
+                tensor[1] = draw(st.lists(st.integers(0, 64) | st.integers(0, 2**32 - 1), max_size=6))
+        else:
+            data = draw(st.sampled_from(tensors))[2]
+            value = draw(_WEIGHT_VALUES)
+            if draw(st.booleans()):
+                data[:] = value
+            else:
+                data[draw(st.integers(0, data.size - 1))] = value
+    out = _model_bytes(meta, tensors)
+    ending = draw(st.sampled_from(["whole"] * 4 + ["truncated", "edited"]))
+    if ending == "truncated":
+        return out[: draw(st.integers(0, len(out) - 1))]
+    return draw(mutated_bytes(out)) if ending == "edited" else out
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_analyze_fuzzed_voice_model_gives_a_report_or_an_engine_error(model_fuzz_fixture, data):
+    root, raw = model_fuzz_fixture
+    model, out = root / "fuzzed.ivm", root / "report.json"
+    model.write_bytes(data.draw(_mutated_model(raw)))
+    out.unlink(missing_ok=True)
+    argv = ["analyze", "--log", str(root / "session.jsonl"), "--out", str(out), "--voice-model", str(model)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run_cli(argv)
     if code == 0:
         assert stderr.getvalue() == ""
         json.loads(out.read_bytes(), parse_constant=_reject_constant)

@@ -142,8 +142,11 @@ def test_decode_json_reads_any_text_as_stdlib(text):
 
 @pytest.mark.parametrize("depth", [_MAX_OPENERS, _MAX_OPENERS + 1, 100_000])
 @pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"k": ', "}")])
-def test_decode_json_reads_deep_nesting_as_stdlib(depth, opener, closer):
-    text = opener * depth + "1" + closer * depth
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+def test_decode_json_reads_deep_nesting_as_stdlib(depth, opener, closer, closed):
+    # open, the `[` texts are 512 and 513 characters: one is shorter than the
+    # opener bound and is not counted, the other is counted
+    text = opener * depth + ("1" + closer * depth if closed else "")
     assert _outcome(decode_json, text) == _outcome(_stdlib_decode, text)  # no floats, so == is exact
 
 
