@@ -150,6 +150,9 @@ def evaluate_loss(model: VoiceModel, x: np.ndarray, y: np.ndarray) -> tuple[floa
     return loss, accuracy
 
 
+# DivergedLoss below reports a run whose loss overflows, so numpy's overflow
+# and invalid-value warnings would only put more lines on stderr
+@np.errstate(over="ignore", invalid="ignore")
 def train_voice_model(
     train: Sequence[LabeledItem],
     val: Sequence[LabeledItem],

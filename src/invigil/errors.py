@@ -5,7 +5,9 @@ import graph, so any module can import from it without a cycle. Besides
 `EngineError` it holds `decode_json`, the decoder of every JSON file the
 engine reads (orjson, with the stdlib decoder for what orjson refuses),
 and `json_lines`, the one reader of the JSON-lines inputs through it,
-with `json_record` for a single line;
+with `json_record` for a single line, which hands a byte line to orjson
+undecoded and falls back to `decode_json` for anything orjson does not
+read as an object;
 `as_int`, `as_number`, `as_finite`, `as_bool`, `as_str`, `as_object`
 and `as_list`, which return a JSON value or raise naming its field where
 a constructor would coerce a bool, float or string; `arrays_eq`, the
@@ -48,9 +50,29 @@ _stdlib_decode = json.JSONDecoder(parse_int=_float64_int).decode
 # nesting 100,000 deep crashes the process, so text with more `[` and `{`
 # than this goes to the stdlib decoder. The bound is below the stdlib's
 # recursion limit, so orjson never decodes a nesting the stdlib refuses.
-# A text holds no more openers than characters, so a text this short is
-# not counted.
 _MAX_OPENERS = 512
+
+
+def _few_openers(text: bytes | str) -> bool:
+    """Whether `text` holds at most `_MAX_OPENERS` `[` and `{`, quoted or not.
+
+    A text holds no more openers than characters, so a text this short is
+    not counted. Otherwise each opener is found with `find` (a memchr), which
+    stops at the first opener past the bound. UTF-8 never puts the bytes of
+    `[` and `{` inside another character, so a byte line counts the same as
+    its text.
+    """
+    if len(text) <= _MAX_OPENERS:
+        return True
+    left = _MAX_OPENERS
+    for opener in ("[", "{") if isinstance(text, str) else (b"[", b"{"):
+        at = text.find(opener)
+        while at >= 0:
+            left -= 1
+            if left < 0:
+                return False
+            at = text.find(opener, at + 1)
+    return True
 
 
 def decode_json(text: str) -> Any:
@@ -59,10 +81,12 @@ def decode_json(text: str) -> Any:
     orjson decodes it when it can, to the same values: it refuses NaN,
     Infinity, numbers that overflow a float64, lone surrogates and invalid
     JSON, and the stdlib decoder then accepts the text or raises its own
-    message. The one difference: orjson reads an integer literal outside
-    [-2**63, 2**64) as a float, which an integer field then refuses.
+    message. Text with more than `_MAX_OPENERS` `[` and `{` goes to the
+    stdlib decoder alone (`_few_openers`). The one difference: orjson reads
+    an integer literal outside [-2**63, 2**64) as a float, which an integer
+    field then refuses.
     """
-    if len(text) <= _MAX_OPENERS or text.count("[") + text.count("{") <= _MAX_OPENERS:
+    if _few_openers(text):
         try:
             return orjson.loads(text)
         except orjson.JSONDecodeError:
@@ -76,7 +100,23 @@ def json_record(line: bytes | str, lineno: int, where: str, error: type[Exceptio
     A line is blank when it is empty or all whitespace (`str.isspace`). A line
     that is not UTF-8, not JSON or not an object raises `error`, its message
     starting with `where` and the line number.
+
+    When `_few_openers` allows, the line goes to orjson as it is, bytes
+    undecoded, and an object orjson reads is returned. orjson refuses a byte
+    line that is not UTF-8 or starts with a byte order mark, and reads any
+    other the same as its text, so that object is the one `decode_json`
+    gives. Any other line is decoded, checked for blankness, read by
+    `decode_json` and checked to be an object, which gives every value and
+    every message.
     """
+    if _few_openers(line):
+        try:
+            rec = orjson.loads(line)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if type(rec) is dict:
+                return rec
     if isinstance(line, bytes):
         try:
             line = line.decode("utf-8")

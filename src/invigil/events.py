@@ -61,7 +61,7 @@ import hashlib
 import io
 import json
 import math
-from array import array
+import struct
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -298,25 +298,28 @@ def _detection(item: dict) -> Detection:
 
 
 def _as_samples(value: Any) -> Any:
-    """A JSON list of inline samples as C doubles; a string, null, bool, array or object element is refused.
+    """A JSON list of inline samples as float64s; a string, null, bool, array or object element is refused.
 
-    A value that is not a list goes to `AudioWindowPayload` as is, which
-    says what is wrong with it.
+    The list is converted by one `struct.pack_into`, which reads each element
+    with `PyFloat_AsDouble` as `array("d", value)` does, into a writable
+    buffer. A value that is not a list goes to `AudioWindowPayload` as is,
+    which says what is wrong with it.
     """
     if type(value) is not list:
         return value
+    buf = bytearray(8 * len(value))
     try:
-        samples = array("d", value)
-    except TypeError:
+        struct.pack_into(f"{len(value)}d", buf, 0, *value)
+    except struct.error:
         bad = next(v for v in value if not isinstance(v, (float, int)))
         raise MalformedRecord(f"audio samples must be numbers, got {bad!r}") from None
-    # `array` takes true and false as 1.0 and 0.0, so only the elements that
-    # read 0.0 or 1.0 can be bools
-    doubles = np.frombuffer(samples)
+    # `PyFloat_AsDouble` takes true and false as 1.0 and 0.0, so only the
+    # elements that read 0.0 or 1.0 can be bools
+    doubles = np.frombuffer(buf)
     for i in np.flatnonzero((doubles == 0.0) | (doubles == 1.0)).tolist():
         if type(value[i]) is bool:
             raise MalformedRecord(f"audio samples must be numbers, got {value[i]!r}")
-    return samples
+    return doubles
 
 
 def _parse_payload(kind: EventKind, payload: dict) -> Payload:
@@ -561,7 +564,10 @@ def frame_rate_cap(max_fps: float) -> Callable[[int, EventKind], bool]:
     def keep(t_ms: int, kind: EventKind) -> bool:
         if kind not in FRAME_KINDS:
             return True
-        bucket = math.floor(t_ms * max_fps / 1000.0)
+        try:
+            bucket = math.floor(t_ms * max_fps / 1000.0)
+        except OverflowError:  # t_ms * max_fps is past the float range: no bucket, so the frame is kept
+            return True
         if last_bucket.get(kind) == bucket:
             return False
         last_bucket[kind] = bucket

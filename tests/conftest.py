@@ -172,9 +172,9 @@ def mutated_bytes(draw, data):
 
 
 @st.composite
-def fuzzed_json_lines(draw, records):
+def fuzzed_json_lines(draw, records, values=FUZZ_VALUES):
     """The JSON lines of `records`, broken one way: arbitrary bytes, a few byte
-    edits, or a few members deleted or set to odd values."""
+    edits, or a few members deleted or set to one of `values`."""
     how = draw(st.sampled_from(["bytes", "edits", "members"]))
     if how == "bytes":
         return draw(st.binary(max_size=300))
@@ -186,5 +186,5 @@ def fuzzed_json_lines(draw, records):
         if isinstance(container, dict) and draw(st.booleans()):
             del container[key]
         else:
-            container[key] = copy.deepcopy(draw(FUZZ_VALUES))  # a later edit may reach into it
+            container[key] = copy.deepcopy(draw(values))  # a later edit may reach into it
     return b"".join(json.dumps(rec).encode() + b"\n" for rec in records)

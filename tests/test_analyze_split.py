@@ -133,6 +133,20 @@ def _truncated_last(lines, i):
     del lines[i + 1 :]
 
 
+def _not_utf8(lines, i):
+    lines[i] = lines[i].replace(b'"samples"', b'"sam\xffples"', 1)
+
+
+def _bom(lines, i):
+    lines[i] = b"\xef\xbb\xbf" + lines[i]
+
+
+def _string_sample(lines, i):
+    rec = json.loads(lines[i])
+    rec["payload"]["samples"][7] = "0.5"
+    lines[i] = _line(rec)
+
+
 MUTATIONS = {
     "bad-json": _bad_json,
     "15999-samples": _short_window,
@@ -141,6 +155,9 @@ MUTATIONS = {
     "earlier-t": _earlier_t,
     "huge-t": _huge_t,
     "truncated-last": _truncated_last,
+    "not-utf8": _not_utf8,
+    "bom": _bom,
+    "string-sample": _string_sample,
 }
 
 

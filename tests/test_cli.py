@@ -63,7 +63,15 @@ from invigil.simulator import (
     synth_audio,
 )
 
-from conftest import FUZZ_VALUES, frame_event, json_slots, make_log, make_reference_set, mutated_bytes
+from conftest import (
+    FUZZ_VALUES,
+    frame_event,
+    fuzzed_json_lines,
+    json_slots,
+    make_log,
+    make_reference_set,
+    mutated_bytes,
+)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -731,6 +739,24 @@ def test_simulate_rejects_overlong_scenario(tmp_path):
     }
 
 
+@pytest.mark.parametrize("where", ["config", "t_ms"])
+def test_analyze_takes_a_rate_cap_bucket_past_the_float_range(fuzz_fixture, tmp_path, where):
+    # a max_fps of 1e308, or a t_ms of 10**308 (which only the stdlib decoder
+    # reads, so the line holds a lone surrogate), gives t_ms * max_fps / 1000 = inf
+    root, lines = fuzz_fixture
+    lines = list(lines)
+    if where == "t_ms":
+        rec = json.loads(lines[-1])
+        rec["t_ms"], rec["note"] = 10**308, "\ud800"
+        lines[-1] = json.dumps(rec).encode()
+    log, cfg, out = root / "capped.jsonl", tmp_path / "cfg.json", tmp_path / "r.json"
+    log.write_bytes(b"\n".join(lines) + b"\n")
+    cfg.write_text(json.dumps({"max_fps": 1e308 if where == "config" else 3.0}))
+    code, records = _run_in_process(["analyze", "--log", str(log), "--out", str(out), "--config", str(cfg)])
+    assert (code, records) == (0, [])
+    json.loads(out.read_bytes(), parse_constant=_reject_constant)
+
+
 def test_analyze_checks_order_before_the_rate_cap(identity, tmp_path):
     # At 3 fps, t=1010 and t=1005 share bucket 3, so the cap drops the
     # second frame: only a check ahead of the cap can see it go backwards.
@@ -1001,6 +1027,83 @@ def test_analyze_fuzzed_voice_model_gives_a_report_or_an_engine_error(model_fuzz
         assert json.loads(records[0])["error"] in _engine_error_names()
 
 
+# a --config file (engine fields and an "audio" object) and a --spec scenario,
+# each valid as written; the fuzz below breaks them
+_CONFIG = {
+    "face_threshold": 0.5,
+    "device_thresholds": {"low": 0.3, "high": 0.8},
+    "person_score_min": 0.4,
+    "absence_long_ms": 900,
+    "absence_recheck_min_ms": 300,
+    "max_fps": 2.0,
+    "voice_threshold": 0.6,
+    "iou_thresholds": {"person": 0.6},
+    "recheck_on_any_return": True,
+    "audio": {"max_epochs": 2, "patience": 1, "batch_size": 2, "learning_rate": 0.02, "val_fraction": 0.25},
+}
+_SPEC = {
+    "duration_ms": 3000,
+    "episodes": [
+        {"kind": "absence", "start_ms": 500, "length_ms": 1200, "intensity": 0.9},
+        {"kind": "background_speech", "start_ms": 1000, "length_ms": 1000},
+    ],
+    "seed": 3,
+}
+# the shared odd values, and numbers at the edges of what the fields take
+_DOCUMENT_VALUES = FUZZ_VALUES | st.sampled_from([0, True, "", 2**63, 2**64 - 1, 5e-324, 1e308, -1e308])
+
+
+@pytest.fixture(scope="module")
+def document_fuzz_fixture(fuzz_fixture):
+    """fuzz_fixture's directory with its log whole, and a corpus of four windows."""
+    root, lines = fuzz_fixture
+    (root / "clean.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+    manifest = []
+    for i, kind in enumerate(["voiced", "unvoiced"] * 2):
+        (root / f"c{i}.pcm").write_bytes(pcm_bytes(synth_audio(kind, seed=40 + i).samples))
+        manifest.append(json.dumps({"path": f"c{i}.pcm", "label": "voice" if kind == "voiced" else "non-voice"}))
+    (root / "manifest.jsonl").write_text("\n".join(manifest) + "\n")
+    return root
+
+
+@pytest.mark.parametrize("command", ["analyze", "train-voice", "simulate"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_fuzzed_config_or_spec_gives_a_result_or_an_engine_error(document_fuzz_fixture, command, data):
+    # the typed JSON documents, read through `_load_config` and `load_scenario_file`
+    root = document_fuzz_fixture
+    doc, out = root / "document.json", root / "out"
+    doc.write_bytes(data.draw(fuzzed_json_lines([_SPEC if command == "simulate" else _CONFIG], _DOCUMENT_VALUES)))
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    argv = {
+        "analyze": [
+            "analyze", "--log", str(root / "clean.jsonl"), "--out", str(out / "report.json"), "--config", str(doc),
+        ],
+        "train-voice": [
+            "train-voice", "--corpus", str(root), "--manifest", str(root / "manifest.jsonl"),
+            "--out-model", str(out / "m.ivm"), "--config", str(doc),
+        ],
+        "simulate": ["simulate", "--spec", str(doc), "--out-dir", str(out)],
+    }[command]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run_cli(argv)
+    if code == 0:
+        assert stderr.getvalue() == ""
+        lines = stdout.getvalue().splitlines()
+        lines += [line for path in out.glob("*.jsonl") for line in path.read_text().splitlines()]
+        for line in lines:
+            json.loads(line, parse_constant=_reject_constant)
+        for path in out.glob("*.json"):
+            json.loads(path.read_bytes(), parse_constant=_reject_constant)
+    else:
+        assert code == 1
+        records = stderr.getvalue().splitlines()
+        assert len(records) == 1
+        assert json.loads(records[0])["error"] in _engine_error_names()
+
+
 def test_analyze_peak_memory_does_not_grow_with_session_length(tmp_path):
     peaks = []
     for duration_ms in (60_000, 120_000):
@@ -1161,6 +1264,22 @@ def test_train_voice_bad_hyperparameter_is_bad_config(assets, tmp_path, audio, m
     assert code == 1
     (record,) = records
     assert json.loads(record) == {"error": "BadConfig", "message": f"{cfg}: bad audio hyperparameters: {message}"}
+    assert not (tmp_path / "m.ivm").exists()
+
+
+@pytest.mark.parametrize("learning_rate", [1e30, 2**63])
+def test_train_voice_with_a_diverging_learning_rate_is_one_error_record(assets, tmp_path, learning_rate):
+    # numpy's overflow warnings, errors under this suite's filterwarnings, stay off stderr
+    cfg = tmp_path / "lr.json"
+    cfg.write_text(json.dumps({"audio": {"max_epochs": 2, "batch_size": 8, "learning_rate": learning_rate}}))
+    argv = [
+        "train-voice", "--corpus", str(assets / "corpus"), "--manifest", str(assets / "manifest.jsonl"),
+        "--out-model", str(tmp_path / "m.ivm"), "--config", str(cfg),
+    ]
+    code, records = _run_in_process(argv)
+    assert code == 1
+    (record,) = records
+    assert json.loads(record)["error"] == "DivergedLoss"
     assert not (tmp_path / "m.ivm").exists()
 
 

@@ -1,5 +1,6 @@
 """The checks in `errors`: the JSON decoder against the stdlib decoder it
-falls back to, the shared `__eq__` of the value types that hold arrays
+falls back to, the opener bound and `json_record`'s byte path against the
+rules they replace, the shared `__eq__` of the value types that hold arrays
 (`arrays_eq`), the shared `to_dict` of the result types (`json_fields`),
 the result-document writer, the finite-number check, and `from_json`
 reading back what `json_fields` writes."""
@@ -157,6 +158,142 @@ def test_decode_json_counts_openers_inside_a_string(monkeypatch):
     monkeypatch.setattr(errors, "_stdlib_decode", lambda t: texts.append(t) or _stdlib_decode(t))
     assert decode_json(text) == _stdlib_decode(text) == "[" * 600
     assert texts == [text]
+
+
+# ---------------------------------------------------------------------------
+# the opener bound and json_record's byte path, against the rules they replace
+
+# one character each, of one to four UTF-8 bytes; `"` quotes the openers
+# that follow it, up to the next one
+_FILLER = 'a "]}\\\xe9\u20ac\U0001f600'
+
+
+@st.composite
+def _opener_texts(draw):
+    """Text with a drawn number of `[` and `{` among filler, often 512 or 513 characters long."""
+    openers = draw(st.sampled_from([0, 1, 511, 512, 513, 514]) | st.integers(0, 700))
+    size = draw(st.sampled_from([512, 513]) | st.integers(openers, 1200))
+    rnd = draw(st.randoms(use_true_random=False))
+    chars = [rnd.choice("[{") for _ in range(openers)] + [rnd.choice(_FILLER) for _ in range(max(size - openers, 0))]
+    rnd.shuffle(chars)
+    return "".join(chars)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_opener_texts())
+def test_few_openers_is_the_count_rule(text):
+    # for text and its UTF-8 bytes alike, whatever the length
+    allowed = text.count("[") + text.count("{") <= _MAX_OPENERS
+    assert errors._few_openers(text) is allowed
+    assert errors._few_openers(text.encode("utf-8")) is allowed
+
+
+@pytest.mark.parametrize("size", [_MAX_OPENERS, _MAX_OPENERS + 1, 5000])
+@pytest.mark.parametrize("openers", [_MAX_OPENERS - 1, _MAX_OPENERS, _MAX_OPENERS + 1])
+def test_few_openers_at_the_bound(size, openers):
+    # quoted openers, padded to `size` characters where that is longer
+    text = '"' + ("{[" * size)[:openers] + '"' + "x" * (size - openers - 2)
+    assert errors._few_openers(text) is errors._few_openers(text.encode()) is (openers <= _MAX_OPENERS)
+
+
+def _decoded_first(line: bytes | str):
+    """json_record as it read every line before byte lines went to orjson:
+    decode, blank check, decode_json, object check."""
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return "error", f"line 3: not valid UTF-8: {exc}"
+    if not line or line.isspace():
+        return "value", None
+    try:
+        rec = decode_json(line)
+    except (ValueError, RecursionError) as exc:
+        return "error", f"line 3: not valid JSON: {exc}"
+    if not isinstance(rec, dict):
+        return "error", "line 3: record must be a JSON object"
+    return "value", rec
+
+
+def _record(line: bytes | str):
+    try:
+        return "value", errors.json_record(line, 3, "line ", ValueError)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _assert_reads_as_decoded_first(line: bytes | str) -> None:
+    # json.dumps tells ints from floats, keeps key order and writes floats
+    # exactly, and unlike `_same` it does not recurse in Python, so it takes
+    # the 512-deep nestings
+    got, want = _record(line), _decoded_first(line)
+    assert (got[0], json.dumps(got[1])) == (want[0], json.dumps(want[1])), line[:200]
+
+
+_UNICODE_SPACES = ["\xa0", "\u2028", "\u3000", "\x85", "\x1c", "\x0b", "\x0c"]
+
+
+@st.composite
+def _byte_lines(draw):
+    """A JSON line broken or framed one way, as bytes."""
+    value = draw(st.dictionaries(st.text(max_size=3), _JSON_VALUES, max_size=4) | _JSON_VALUES)
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()), allow_nan=True)
+    how = draw(
+        st.sampled_from(["as-is", "bom", "spaces", "only-spaces", "ending", "nul", "not-utf8", "openers", "binary"])
+    )
+    if how == "bom":
+        text = "\ufeff" + text
+    elif how in ("spaces", "only-spaces"):
+        around = st.text(alphabet=_UNICODE_SPACES + [" ", "\t", "\r", "\n"], max_size=3)
+        text = draw(around) + ("" if how == "only-spaces" else text) + draw(around)
+    elif how == "ending":
+        text += draw(st.sampled_from(["\n", "\r\n", "\r", "\n\n", " \n"]))
+    elif how == "nul":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\x00" + text[at:]
+    elif how == "openers":
+        # an object holding a list nested to 511-514 openers in all
+        depth = draw(st.integers(_MAX_OPENERS - 2, _MAX_OPENERS + 1))
+        text = '{"k": ' + "[" * depth + text + "]" * depth + "}"
+    data = text.encode("utf-8", "surrogatepass")
+    if how == "not-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"])) + data[at:]
+    if how == "binary":
+        data = draw(st.binary(max_size=40))
+    return data
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_byte_lines())
+def test_json_record_reads_a_byte_line_as_its_decoded_text(line):
+    _assert_reads_as_decoded_first(line)
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        return
+    _assert_reads_as_decoded_first(text)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"\xef\xbb\xbf{}",
+        b'{"a": 1}\xff',
+        b'{"a": "\xed\xa0\x80"}',
+        b"\xc2\xa0",
+        b"\xc2\xa0{}\xc2\xa0",
+        b"{}\x00",
+        b"\r\n",
+        b"[1]\n",
+        b"7",
+        b'{"a": [' + b"[" * (_MAX_OPENERS - 1) + b"]" * _MAX_OPENERS + b"}",
+        b'{"a": [' + b"[" * _MAX_OPENERS + b"]" * (_MAX_OPENERS + 1) + b"}",
+    ],
+    ids=lambda line: repr(line[:12]),
+)
+def test_json_record_reads_edge_byte_lines_as_their_decoded_text(line):
+    _assert_reads_as_decoded_first(line)
 
 
 _RNG = np.random.default_rng(5)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,7 @@ from invigil.events import (
     NonMonotonicTime,
     SensorEvent,
     SessionLog,
+    _as_samples,
     frame_rate_cap,
     load_audio_samples,
     parse_session_log,
@@ -541,6 +543,55 @@ def test_inline_samples_of_zeros_and_ones_pass_but_a_leading_true_does_not(ident
     assert str(err.value) == "line 4: audio samples must be numbers, got True"
 
 
+def _array_outcome(value: list):
+    """What inline samples read as when `array("d", value)` converted them: the doubles, or the message."""
+    try:
+        samples = array("d", value)
+    except TypeError:
+        bad = next(v for v in value if not isinstance(v, (float, int)))
+        return "error", f"audio samples must be numbers, got {bad!r}"
+    bools = [v for v in value if type(v) is bool]
+    if bools:
+        return "error", f"audio samples must be numbers, got {bools[0]!r}"
+    return "value", samples.tobytes()
+
+
+def _samples_outcome(value: list):
+    try:
+        samples = _as_samples(value)
+    except MalformedRecord as exc:
+        return "error", str(exc)
+    return "value", np.asarray(samples, dtype=np.float64).tobytes()
+
+
+_SAMPLE_ITEMS = (
+    st.floats()
+    | st.sampled_from([0, 1, -1, 2**63, -(2**63), 2**64 - 1, 0.0, -0.0, 1.0])
+    | st.integers(-(2**63), 2**64 - 1)
+    | st.booleans()
+    | st.sampled_from(["0.5", "", None, [], [0.5], {}, {"a": 1}])
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-1, 1), max_size=60), st.lists(st.tuples(st.integers(0, 60), _SAMPLE_ITEMS), max_size=4))
+def test_as_samples_reads_a_list_as_array_d_does(floats, inserts):
+    # a list of numbers, with a few items of any JSON type put in at any position
+    value = list(floats)
+    for at, item in inserts:
+        value.insert(at, item)
+    got, want = _samples_outcome(value), _array_outcome(value)
+    assert got == want, value
+
+
+@pytest.mark.parametrize("bad", [True, False, "1", None, [1.0], {"a": 1}])
+@pytest.mark.parametrize("at", [0, 7, 15_999])
+def test_as_samples_refuses_a_non_number_anywhere_in_a_window(bad, at):
+    value = np.linspace(-1, 1, 16_000).tolist()
+    value[at] = bad
+    assert _samples_outcome(value) == _array_outcome(value) == ("error", f"audio samples must be numbers, got {bad!r}")
+
+
 def test_resample_keeps_first_event_per_bucket(identity):
     _, refs = identity
     events = [frame_event(t) for t in (0, 100, 200, 334, 400, 667, 900, 1000)]
@@ -582,6 +633,15 @@ def test_resample_idempotent_and_bucket_unique(times, max_fps):
     for t in sorted(times):
         by_bucket.setdefault(math.floor(t * max_fps / 1000.0), t)
     assert [ev.t_ms for ev in once.events] == list(by_bucket.values())
+
+
+@pytest.mark.parametrize("max_fps, t_ms", [(1e308, 100), (3.0, 10**308)], ids=["huge-max_fps", "huge-t_ms"])
+def test_rate_cap_keeps_frames_whose_bucket_is_past_the_float_range(max_fps, t_ms):
+    # t_ms * max_fps / 1000 overflows to infinity, which has no integer floor
+    keep = frame_rate_cap(max_fps)
+    assert keep(0, EventKind.FRAME_DETECTIONS)
+    assert keep(t_ms, EventKind.FRAME_DETECTIONS) and keep(t_ms, EventKind.FRAME_DETECTIONS)
+    assert keep(t_ms, EventKind.FRAME_IMAGE)
 
 
 def test_resample_rejects_bad_fps(small_log):
