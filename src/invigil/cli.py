@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import signal
@@ -104,14 +105,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-# Inline-audio logs are split between two processes. A line this long can
-# hold an inline one-second window, one digit and one comma per sample, and
-# no shorter line can. From the first such line after the references, a
-# forked helper takes every second one and the parent the others. The helper
-# reads its lines from the file itself, and writes one record per line: line
-# number, line length in bytes, t_ms, voice probability, and whether it
-# declined the line.
-SPLIT_LINE_BYTES = 2 * DEFAULT_SAMPLE_RATE
+# A log's audio windows are split between two processes. From the first window
+# line after the references, a forked helper takes every second one and the
+# parent all other lines. A window line starts as below: the canonical serializer
+# sorts keys, so every window it writes does, inline or side-file, and a window
+# written otherwise is the parent's. The helper reads its lines from the file
+# itself, and writes one record per line: line number, line length in bytes,
+# t_ms, voice probability, and whether it declined the line.
+_WINDOW_START = b'{"kind":"AudioWindow"'
 _HELPER_RECORD = struct.Struct("<QQQd?")
 
 
@@ -125,50 +126,53 @@ def _split_possible(fh) -> bool:
     )
 
 
+def _window_turns(lines):
+    """The split's one rule, which both processes follow: each numbered line, with whose turn it is.
+
+    None for a line that is not an audio window; for the window lines, False
+    (the parent's) and True (the helper's) by turns, from False at the first.
+    """
+    helpers = True
+    for lineno, line in lines:
+        window = line.startswith(_WINDOW_START)
+        helpers ^= window
+        yield lineno, line, helpers if window else None
+
+
 def _split_lines(fh, path: str, lines, model, base_dir: Path):
     """The numbered event lines, with the helper's `ClassifiedWindow` in place of each line it classified.
 
-    A line the helper declined, or that it read at another number or length,
-    is passed on as read, and so is every line once the helper has stopped;
-    the reader and the fold then do with it what they do without a helper,
-    so the report and any error are the same. The helper is killed, if it
-    still runs, and waited for when this generator is closed.
+    The helper is forked at the first window line. A line it declined, or read
+    at another number or length, is passed on as read, and so is every line
+    once it has stopped or where none was forked; the reader and the fold do
+    with it what they do without a helper, so the report and any error are the
+    same. The helper is killed, if it still runs, and waited for on close.
     """
-    for lineno, line in lines:
-        if len(line) >= SPLIT_LINE_BYTES:
-            break
-        yield lineno, line
-    else:
-        return
-    helper = _fork_helper(path, fh.tell() - len(line), lineno, model, base_dir) if _split_possible(fh) else None
-    if helper is None:
-        yield lineno, line
-        yield from lines
-        return
-    pid, pipe = helper
+    helper = live = None  # live is None until the first window line
     try:
-        yield lineno, line
-        long_lines, live = 1, True
-        for lineno, line in lines:
-            if len(line) >= SPLIT_LINE_BYTES:
-                long_lines += 1
-                if long_lines % 2 == 0 and live:
-                    record = pipe.read(_HELPER_RECORD.size)
-                    if len(record) < _HELPER_RECORD.size:
-                        live = False  # the helper has stopped
-                    else:
-                        number, length, t_ms, prob, declined = _HELPER_RECORD.unpack(record)
-                        if (number, length) != (lineno, len(line)):
-                            live = False  # it reads another file now
-                        elif not declined:
-                            line = ClassifiedWindow(t_ms, prob)
+        for lineno, line, helpers in _window_turns(lines):
+            if helpers is False and live is None:
+                helper = _fork_helper(path, fh.tell() - len(line), lineno, model, base_dir) if _split_possible(fh) else None
+                live = helper is not None
+            elif helpers and live:
+                record = helper[1].read(_HELPER_RECORD.size)
+                if len(record) < _HELPER_RECORD.size:
+                    live = False  # the helper has stopped
+                else:
+                    number, length, t_ms, prob, declined = _HELPER_RECORD.unpack(record)
+                    if (number, length) != (lineno, len(line)):
+                        live = False  # it reads another file now
+                    elif not declined:
+                        line = ClassifiedWindow(t_ms, prob)
             yield lineno, line
     finally:
-        pipe.close()
-        with suppress(ChildProcessError):  # reaped already, as where SIGCHLD is ignored
-            if os.waitpid(pid, os.WNOHANG)[0] == 0:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        if helper is not None:
+            pid, pipe = helper
+            pipe.close()
+            with suppress(ChildProcessError):  # reaped already, as where SIGCHLD is ignored
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
 def _fork_helper(path: str, offset: int, lineno: int, model, base_dir: Path):
@@ -201,7 +205,7 @@ def _fork_helper(path: str, offset: int, lineno: int, model, base_dir: Path):
 
 
 def _helper(path: str, offset: int, lineno: int, model, base_dir: Path, out: int) -> None:
-    """Classify every second long line from `lineno`, the first, at byte `offset` of the log.
+    """Classify the helper's window lines, from line `lineno`, the first window, at byte `offset` of the log.
 
     Each line goes through the reader's per-line check, `resolve_audio` and
     `window_probability`, as in the parent. A line that is not an audio window,
@@ -210,12 +214,8 @@ def _helper(path: str, offset: int, lineno: int, model, base_dir: Path, out: int
     workspace = WindowWorkspace()
     with open(path, "rb", buffering=1 << 20) as fh:
         fh.seek(offset)
-        long_lines = 0
-        for lineno, line in enumerate(fh, start=lineno):
-            if len(line) < SPLIT_LINE_BYTES:
-                continue
-            long_lines += 1
-            if long_lines % 2:  # the parent's
+        for lineno, line, helpers in _window_turns(enumerate(fh, start=lineno)):
+            if not helpers:  # the parent's
                 continue
             record = None
             try:
@@ -313,6 +313,7 @@ def _cmd_eval_objects(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="invigil", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -359,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (EngineError, OSError, ValueError) as exc:

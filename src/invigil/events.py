@@ -40,10 +40,10 @@ Each event line is taken in this order: its kind; its payload, checked
 field by field; its `t_ms`; its order against the line before; and last
 the frame-rate cap. A line can also arrive already read, as a
 `ClassifiedWindow`: an audio window that another process checked and
-classified (`analyze` splits long logs so, see `cli`). Of such a line the
-reader checks only the order. Frame payloads are checked in place by the parser,
-with the types' own check functions, and turned into objects only when
-the cap keeps the frame, so a dropped frame costs its checks and nothing
+classified (`analyze` splits a log's audio windows so, see `cli`). Of such a
+line the reader checks only the order. Frame payloads are checked in place by
+the parser, with the types' own check functions, and turned into objects only
+when the cap keeps the frame, so a dropped frame costs its checks and nothing
 more; other payloads are built, and so checked, as they are read.
 
 Timestamps are integer milliseconds since session start, strictly

@@ -92,7 +92,8 @@ def test_01_face_match_oracle_equivalence():
             centroid, refs = make_reference_set(rng, count=20)
             probe = centroid + rng.uniform(0.0, 1.2) * rng.standard_normal(128) * rng.uniform(0.0, 0.2)
             decision = classify_identity(Embedding(values=probe), refs, 0.6)
-            brute = [math.dist(probe, row) for row in refs.matrix]
+            # Python floats: math.dist on numpy scalars would cost more than the engine under test
+            brute = [math.dist(probe.tolist(), row) for row in refs.matrix.tolist()]
             brute_min = min(brute)
             assert abs(decision.min_distance - brute_min) <= 1e-9 * max(brute_min, 1e-30)
             assert decision.verdict is (

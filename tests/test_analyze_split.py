@@ -1,5 +1,6 @@
-"""`analyze` on inline-audio logs splits its long lines with a forked helper; these
-tests pin every outcome of the split to the serial loop.
+"""`analyze` splits a log's audio windows with a forked helper; these tests pin
+every outcome of the split to the serial loop, on logs with inline windows and
+on logs with their windows in PCM side files.
 
 The serial loop is chosen by making `cli._split_possible` say no, and the
 split by making it say yes, so both run whatever the machine's CPU count.
@@ -8,6 +9,7 @@ split by making it say yes, so both run whatever the machine's CPU count.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -27,6 +29,7 @@ from invigil.simulator import Episode, EpisodeKind, ScenarioSpec, generate_sessi
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SEEDS = (3, 8, 21)
+FORMS = ("inline", "side")
 
 
 def _session(seed: int):
@@ -36,10 +39,6 @@ def _session(seed: int):
         seed=seed,
     )
     return generate_session(spec)[0]
-
-
-def _inline_lines(seed: int) -> list[bytes]:
-    return serialize_session_log(_session(seed)).splitlines(keepends=True)
 
 
 def _conv_model(seed: int = 0) -> VoiceModel:
@@ -63,23 +62,39 @@ def models(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def logs():
-    return {seed: _inline_lines(seed) for seed in SEEDS}
+def logs(tmp_path_factory):
+    """(log lines, {side-file path: bytes}) of each form and seed: audio inline, or in side files as a client ships it."""
+    out = {}
+    for seed in SEEDS:
+        session, root = _session(seed), tmp_path_factory.mktemp("side")
+        out["inline", seed] = serialize_session_log(session).splitlines(keepends=True), {}
+        lines = serialize_session_log(write_audio_side_files(session, root)).splitlines(keepends=True)
+        out["side", seed] = lines, {p.relative_to(root).as_posix(): p.read_bytes() for p in root.glob("audio/*")}
+    return out
 
 
-def _long(lines: list[bytes]) -> list[int]:
-    """Indices of the lines long enough to be split, after the references."""
-    return [i for i, line in enumerate(lines) if i > 1 and len(line) >= cli.SPLIT_LINE_BYTES]
+def _windows(lines: list[bytes]) -> list[int]:
+    """Indices of the audio-window lines, which the split deals out by turns."""
+    return [i for i, line in enumerate(lines) if line.startswith(b'{"kind":"AudioWindow"')]
 
 
-def _analyze(monkeypatch, tmp_path: Path, data: bytes, model: Path | None, split: bool):
+def _write(tmp_path: Path, lines: list[bytes], files: dict[str, bytes]) -> Path:
+    """The log and its side files written to `tmp_path`; the log's path."""
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    log = tmp_path / "session.jsonl"
+    log.write_bytes(b"".join(lines))
+    return log
+
+
+def _analyze(monkeypatch, log: Path, model: Path | None, split: bool):
     """(exit code, stdout, stderr, report bytes or None, windows the helper classified) of one in-process run."""
     monkeypatch.setattr(cli, "_split_possible", lambda fh: split)
     delivered = []
     resolve = cli.resolve_audio
     monkeypatch.setattr(cli, "resolve_audio", lambda ev, base: delivered.append(type(ev.payload)) or resolve(ev, base))
-    log, out = tmp_path / "session.jsonl", tmp_path / f"report-{split}.json"
-    log.write_bytes(data)
+    out = log.parent / f"report-{split}.json"
     out.unlink(missing_ok=True)
     argv = ["analyze", "--log", str(log), "--out", str(out)] + ([] if model is None else ["--voice-model", str(model)])
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -89,38 +104,49 @@ def _analyze(monkeypatch, tmp_path: Path, data: bytes, model: Path | None, split
     return code, stdout.getvalue(), stderr.getvalue(), report, delivered.count(ClassifiedWindow)
 
 
+# Each mutation breaks window line `i` of `lines`, or its side file in `files`.
+# `_line` writes a record as the canonical serializer does, keys in the order
+# read, so a window stays a window line to the split.
+
+
 def _line(rec: dict) -> bytes:
-    return json.dumps(rec).encode() + b"\n"
+    return json.dumps(rec, separators=(",", ":")).encode() + b"\n"
 
 
-def _bad_json(lines, i):
-    lines[i] = lines[i].replace(b"[", b"[,", 1)
+def _bad_json(lines, files, i):
+    lines[i] = lines[i].replace(b'"payload":', b'"payload"', 1)
 
 
-def _short_window(lines, i):
+def _short_window(lines, files, i):
     rec = json.loads(lines[i])
     rec["payload"]["samples"].pop()
     lines[i] = _line(rec)
 
 
-def _true_sample(lines, i):
+def _true_sample(lines, files, i):
     rec = json.loads(lines[i])
     rec["payload"]["samples"][7] = True
     lines[i] = _line(rec)
 
 
-def _long_image(lines, i):
-    rec = json.loads(lines[i])
-    lines[i] = _line({"t_ms": rec["t_ms"], "kind": "FrameImage", "payload": {"path": "p" * 40_000}})
+def _image_as_window(lines, files, i):
+    # an image line that starts as a window line does: JSON takes the last of two keys
+    t_ms = json.loads(lines[i])["t_ms"]
+    lines[i] = b'{"kind":"AudioWindow",' + _line({"kind": "FrameImage", "payload": {"path": "f.ppm"}, "t_ms": t_ms})[1:]
 
 
-def _earlier_t(lines, i):
+def _spaced(lines, files, i):
+    # a window as another writer may space it: not a window line to the split, so the parent reads it
+    lines[i] = json.dumps(json.loads(lines[i])).encode() + b"\n"
+
+
+def _earlier_t(lines, files, i):
     rec = json.loads(lines[i])
     rec["t_ms"] = json.loads(lines[i - 1])["t_ms"] - 1
     lines[i] = _line(rec)
 
 
-def _huge_t(lines, i):
+def _huge_t(lines, files, i):
     # a t_ms beyond 64 bits, which the stdlib decoder reads as an integer: a lone
     # surrogate sends the line to it. The next line is then out of order.
     rec = json.loads(lines[i])
@@ -128,42 +154,82 @@ def _huge_t(lines, i):
     lines[i] = _line(rec)
 
 
-def _truncated_last(lines, i):
+def _truncated_last(lines, files, i):
     lines[i] = lines[i][: len(lines[i]) // 2]
     del lines[i + 1 :]
 
 
-def _not_utf8(lines, i):
-    lines[i] = lines[i].replace(b'"samples"', b'"sam\xffples"', 1)
+def _not_utf8(lines, files, i):
+    lines[i] = lines[i].replace(b'"payload"', b'"pay\xffload"', 1)
 
 
-def _bom(lines, i):
+def _bom(lines, files, i):
     lines[i] = b"\xef\xbb\xbf" + lines[i]
 
 
-def _string_sample(lines, i):
+def _string_sample(lines, files, i):
     rec = json.loads(lines[i])
     rec["payload"]["samples"][7] = "0.5"
     lines[i] = _line(rec)
 
 
+def _rate_8000(lines, files, i):
+    rec = json.loads(lines[i])
+    rec["payload"]["sample_rate"] = 8000
+    lines[i] = _line(rec)
+
+
+def _detections_payload(lines, files, i):
+    rec = json.loads(lines[i])
+    frame = next(json.loads(line) for line in lines if line.startswith(b'{"kind":"FrameDetections"'))
+    rec["payload"] = frame["payload"]
+    lines[i] = _line(rec)
+
+
+def _missing_pcm(lines, files, i):
+    del files[json.loads(lines[i])["payload"]["path"]]
+
+
+def _sha256_mismatch(lines, files, i):
+    path = json.loads(lines[i])["payload"]["path"]
+    files[path] = bytes([files[path][0] ^ 1]) + files[path][1:]
+
+
+def _odd_length(lines, files, i):
+    # the sha256 names the shortened bytes, so the length check is the one that fails
+    rec = json.loads(lines[i])
+    path = rec["payload"]["path"]
+    files[path] = files[path][:-1]
+    rec["payload"]["sha256"] = hashlib.sha256(files[path]).hexdigest()
+    lines[i] = _line(rec)
+
+
+# name: (the forms it applies to, mutation)
 MUTATIONS = {
-    "bad-json": _bad_json,
-    "15999-samples": _short_window,
-    "true-sample": _true_sample,
-    "long-non-audio": _long_image,
-    "earlier-t": _earlier_t,
-    "huge-t": _huge_t,
-    "truncated-last": _truncated_last,
-    "not-utf8": _not_utf8,
-    "bom": _bom,
-    "string-sample": _string_sample,
+    "bad-json": (FORMS, _bad_json),
+    "15999-samples": (("inline",), _short_window),
+    "true-sample": (("inline",), _true_sample),
+    "image-as-window": (FORMS, _image_as_window),
+    "spaced": (FORMS, _spaced),
+    "earlier-t": (FORMS, _earlier_t),
+    "huge-t": (FORMS, _huge_t),
+    "truncated-last": (FORMS, _truncated_last),
+    "not-utf8": (FORMS, _not_utf8),
+    "bom": (FORMS, _bom),
+    "string-sample": (("inline",), _string_sample),
+    "8000-hz": (FORMS, _rate_8000),
+    "detections-payload": (FORMS, _detections_payload),
+    "missing-pcm": (("side",), _missing_pcm),
+    "sha256-mismatch": (("side",), _sha256_mismatch),
+    "odd-length": (("side",), _odd_length),
 }
+HARMLESS = {"image-as-window", "spaced"}
 
 
-def _assert_split_is_serial(monkeypatch, tmp_path, data: bytes, model) -> tuple[int, int]:
-    split = _analyze(monkeypatch, tmp_path, data, model, split=True)
-    serial = _analyze(monkeypatch, tmp_path, data, model, split=False)
+def _assert_split_is_serial(monkeypatch, tmp_path, lines, files, model) -> tuple[int, int]:
+    log = _write(tmp_path, lines, files)
+    split = _analyze(monkeypatch, log, model, split=True)
+    serial = _analyze(monkeypatch, log, model, split=False)
     assert serial[4] == 0
     assert split[:4] == serial[:4]
     code, _, stderr, report, _ = split
@@ -178,50 +244,46 @@ def _assert_split_is_serial(monkeypatch, tmp_path, data: bytes, model) -> tuple[
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("model", ["band", "conv"])
-def test_split_gives_the_serial_report(monkeypatch, tmp_path, logs, models, seed, model):
-    lines = logs[seed]
-    code, delivered = _assert_split_is_serial(monkeypatch, tmp_path, b"".join(lines), models[model])
+@pytest.mark.parametrize("form", FORMS)
+def test_split_gives_the_serial_report(monkeypatch, tmp_path, logs, models, form, seed, model):
+    lines, files = logs[form, seed]
+    code, delivered = _assert_split_is_serial(monkeypatch, tmp_path, lines, files, models[model])
     assert code == 0
-    assert delivered == len(_long(lines)) // 2  # every second long line, and the helper declined none
+    assert delivered == len(_windows(lines)) // 2  # every second window line, and the helper declined none
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("model", ["band", "conv"])
 @pytest.mark.parametrize("owner, k", [("helper", 1), ("parent", 2)])
-@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-def test_split_reports_a_mutated_long_line_as_serial(monkeypatch, tmp_path, logs, models, seed, model, owner, k, mutation):
-    lines = list(logs[seed])
-    MUTATIONS[mutation](lines, _long(lines)[k])
-    code, delivered = _assert_split_is_serial(monkeypatch, tmp_path, b"".join(lines), models[model])
-    assert (code == 0) == (mutation == "long-non-audio")
+@pytest.mark.parametrize(
+    "form, mutation", [(form, name) for name, (forms, _) in sorted(MUTATIONS.items()) for form in forms]
+)
+def test_split_reports_a_mutated_window_line_as_serial(
+    monkeypatch, tmp_path, logs, models, form, seed, model, owner, k, mutation
+):
+    lines, files = logs[form, seed]
+    lines, files = list(lines), dict(files)
+    MUTATIONS[mutation][1](lines, files, _windows(lines)[k])
+    code, delivered = _assert_split_is_serial(monkeypatch, tmp_path, lines, files, models[model])
+    assert (code == 0) == (mutation in HARMLESS)
     if owner == "parent":
         assert delivered >= 1  # the helper's line before it was taken from the helper
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("owner", ["parent", "helper"])
-def test_split_reports_a_model_with_nan_output_as_serial(monkeypatch, tmp_path, logs, models, seed, owner):
-    lines = list(logs[seed])
-    if owner == "helper":  # the first audio window is then the second long line
-        _long_image(lines, _long(lines)[0])
-    code, delivered = _assert_split_is_serial(monkeypatch, tmp_path, b"".join(lines), models["nan"])
+@pytest.mark.parametrize("form", FORMS)
+def test_split_reports_a_model_with_nan_output_as_serial(monkeypatch, tmp_path, logs, models, form, seed, owner):
+    lines, files = logs[form, seed]
+    lines = list(lines)
+    if owner == "helper":  # the first audio window is then the second window line
+        _image_as_window(lines, files, _windows(lines)[0])
+    code, delivered = _assert_split_is_serial(monkeypatch, tmp_path, lines, files, models["nan"])
     assert code == 1 and delivered == 0
 
 
-def test_a_log_with_audio_in_side_files_is_not_split(monkeypatch, tmp_path, logs):
-    # its one long line is the references record, which the split does not count
-    data = serialize_session_log(write_audio_side_files(_session(SEEDS[0]), tmp_path))
-    assert max(map(len, data.splitlines()[2:])) < cli.SPLIT_LINE_BYTES <= len(data.splitlines()[1])
-    forks = []
-    monkeypatch.setattr(cli, "_fork_helper", lambda *a: forks.append(a))
-    code, _, _, report, _ = _analyze(monkeypatch, tmp_path, data, None, split=True)
-    assert code == 0 and forks == []
-    assert report == _analyze(monkeypatch, tmp_path, b"".join(logs[SEEDS[0]]), None, split=False)[3]
-
-
 def test_split_finishes_the_log_when_the_helper_is_killed(monkeypatch, tmp_path, logs, models):
-    lines = logs[SEEDS[0]]
-    data = b"".join(lines)
+    lines, _ = logs["inline", SEEDS[0]]
     parent, probability = os.getpid(), cli.window_probability
 
     def slow_in_helper(*args):
@@ -245,29 +307,28 @@ def test_split_finishes_the_log_when_the_helper_is_killed(monkeypatch, tmp_path,
 
     monkeypatch.setattr(cli, "resolve_audio", kill_after_first_delivery)
     monkeypatch.setattr(cli, "_split_possible", lambda fh: True)
-    log, out = tmp_path / "session.jsonl", tmp_path / "report.json"
-    log.write_bytes(data)
+    log, out = _write(tmp_path, lines, {}), tmp_path / "report.json"
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run_cli(["analyze", "--log", str(log), "--out", str(out), "--voice-model", str(models["conv"])]) == 0
-    assert 1 <= stepped.count(ClassifiedWindow) < len(_long(lines)) // 2
+    assert 1 <= stepped.count(ClassifiedWindow) < len(_windows(lines)) // 2
     with pytest.raises(ChildProcessError):
         os.waitpid(pids[0], os.WNOHANG)
     monkeypatch.undo()
-    serial = _analyze(monkeypatch, tmp_path, data, models["conv"], split=False)
+    serial = _analyze(monkeypatch, log, models["conv"], split=False)
     assert serial[0] == 0 and serial[3] == out.read_bytes()
 
 
 def test_split_takes_no_line_from_a_helper_that_read_another_file(monkeypatch, tmp_path, logs, models):
     # the helper reopens the log by path; here that path holds the log with a
     # space added to the helper's first line, as if the file had changed
-    lines = list(logs[SEEDS[1]])
+    lines, _ = logs["inline", SEEDS[1]]
     other = list(lines)
-    first = _long(lines)[1]
+    first = _windows(lines)[1]
     other[first] = other[first][:-1] + b" \n"
     (tmp_path / "other.jsonl").write_bytes(b"".join(other))
     fork = cli._fork_helper
     monkeypatch.setattr(cli, "_fork_helper", lambda path, *a: fork(str(tmp_path / "other.jsonl"), *a))
-    code, delivered = _assert_split_is_serial(monkeypatch, tmp_path, b"".join(lines), models["conv"])
+    code, delivered = _assert_split_is_serial(monkeypatch, tmp_path, lines, {}, models["conv"])
     assert code == 0 and delivered == 0
 
 
@@ -305,9 +366,9 @@ print(outcomes)
 
 
 def test_no_helper_outlives_analyze(tmp_path, logs):
-    lines = list(logs[SEEDS[1]])
+    lines = list(logs["inline", SEEDS[1]][0])
     (tmp_path / "good.jsonl").write_bytes(b"".join(lines))
-    _bad_json(lines, _long(lines)[4])
+    _bad_json(lines, {}, _windows(lines)[4])
     (tmp_path / "bad.jsonl").write_bytes(b"".join(lines))
     argv = [str(tmp_path / name) for name in ("good.jsonl", "bad.jsonl", "r.json")]
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -326,7 +387,7 @@ _SPLIT_CLI = "import sys; from invigil import cli; cli._split_possible = lambda 
 def test_split_under_multi_threaded_blas(tmp_path, logs, models):
     # the BLAS pool at its default size, as a user's shell leaves it: a fork
     # must not deadlock the helper or put a warning on stderr
-    (tmp_path / "session.jsonl").write_bytes(b"".join(logs[SEEDS[2]]))
+    (tmp_path / "session.jsonl").write_bytes(b"".join(logs["inline", SEEDS[2]][0]))
     outputs = []
     for pinned in (True, False):
         env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
