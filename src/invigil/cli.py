@@ -107,12 +107,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 # A log's audio windows are split between two processes. From the first window
 # line after the references, a forked helper takes every second one and the
-# parent all other lines. A window line starts as below: the canonical serializer
-# sorts keys, so every window it writes does, inline or side-file, and a window
-# written otherwise is the parent's. The helper reads its lines from the file
+# parent all other lines. A window line holds the kind below in its first 64
+# bytes, whatever its key order or spacing; any other line, or one the helper
+# declines, is read by the parent. The helper reads its lines from the file
 # itself, and writes one record per line: line number, line length in bytes,
 # t_ms, voice probability, and whether it declined the line.
-_WINDOW_START = b'{"kind":"AudioWindow"'
+_WINDOW_KIND = b'"AudioWindow"'
 _HELPER_RECORD = struct.Struct("<QQQd?")
 
 
@@ -134,7 +134,7 @@ def _window_turns(lines):
     """
     helpers = True
     for lineno, line in lines:
-        window = line.startswith(_WINDOW_START)
+        window = _WINDOW_KIND in line[:64]
         helpers ^= window
         yield lineno, line, helpers if window else None
 

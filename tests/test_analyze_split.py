@@ -74,8 +74,8 @@ def logs(tmp_path_factory):
 
 
 def _windows(lines: list[bytes]) -> list[int]:
-    """Indices of the audio-window lines, which the split deals out by turns."""
-    return [i for i, line in enumerate(lines) if line.startswith(b'{"kind":"AudioWindow"')]
+    """Indices of the lines `cli._window_turns` counts as audio windows, which the split deals out by turns."""
+    return [i for i, _, turn in cli._window_turns(enumerate(lines)) if turn is not None]
 
 
 def _write(tmp_path: Path, lines: list[bytes], files: dict[str, bytes]) -> Path:
@@ -130,14 +130,21 @@ def _true_sample(lines, files, i):
 
 
 def _image_as_window(lines, files, i):
-    # an image line that starts as a window line does: JSON takes the last of two keys
+    # an image line that starts with a window's kind: JSON takes the last of two keys
     t_ms = json.loads(lines[i])["t_ms"]
-    lines[i] = b'{"kind":"AudioWindow",' + _line({"kind": "FrameImage", "payload": {"path": "f.ppm"}, "t_ms": t_ms})[1:]
+    lines[i] = b'{"kind":' + cli._WINDOW_KIND + b"," + _line({"kind": "FrameImage", "payload": {"path": "f.ppm"}, "t_ms": t_ms})[1:]
 
 
-def _spaced(lines, files, i):
-    # a window as another writer may space it: not a window line to the split, so the parent reads it
-    lines[i] = json.dumps(json.loads(lines[i])).encode() + b"\n"
+def _documented(lines, files, i):
+    # a window in the form README documents for a client, t_ms first and spaced
+    rec = json.loads(lines[i])
+    lines[i] = json.dumps({"t_ms": rec["t_ms"], "kind": rec["kind"], "payload": rec["payload"]}).encode() + b"\n"
+
+
+def _kind_last(lines, files, i):
+    # a window whose kind comes after its payload, past where the split looks for it
+    rec = json.loads(lines[i])
+    lines[i] = _line({"payload": rec["payload"], "t_ms": rec["t_ms"], "kind": rec["kind"]})
 
 
 def _earlier_t(lines, files, i):
@@ -210,7 +217,8 @@ MUTATIONS = {
     "15999-samples": (("inline",), _short_window),
     "true-sample": (("inline",), _true_sample),
     "image-as-window": (FORMS, _image_as_window),
-    "spaced": (FORMS, _spaced),
+    "documented": (FORMS, _documented),
+    "kind-last": (FORMS, _kind_last),
     "earlier-t": (FORMS, _earlier_t),
     "huge-t": (FORMS, _huge_t),
     "truncated-last": (FORMS, _truncated_last),
@@ -223,7 +231,8 @@ MUTATIONS = {
     "sha256-mismatch": (("side",), _sha256_mismatch),
     "odd-length": (("side",), _odd_length),
 }
-HARMLESS = {"image-as-window", "spaced"}
+# the mutations that leave the report as it was: whether the split still counts the line as a window
+HARMLESS = {"image-as-window": True, "documented": True, "kind-last": False}
 
 
 def _assert_split_is_serial(monkeypatch, tmp_path, lines, files, model) -> tuple[int, int]:
@@ -263,9 +272,14 @@ def test_split_reports_a_mutated_window_line_as_serial(
 ):
     lines, files = logs[form, seed]
     lines, files = list(lines), dict(files)
-    MUTATIONS[mutation][1](lines, files, _windows(lines)[k])
+    i = _windows(lines)[k]
+    MUTATIONS[mutation][1](lines, files, i)
     code, delivered = _assert_split_is_serial(monkeypatch, tmp_path, lines, files, models[model])
     assert (code == 0) == (mutation in HARMLESS)
+    if mutation in HARMLESS:
+        assert (i in _windows(lines)) == HARMLESS[mutation]
+    if mutation == "documented":
+        assert delivered == len(_windows(lines)) // 2  # the helper classified every line of its turn
     if owner == "parent":
         assert delivered >= 1  # the helper's line before it was taken from the helper
 
