@@ -10,6 +10,7 @@ against a direct DFT.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,58 +83,28 @@ def spectrogram_shape(n_samples: int, frame_len: int = DEFAULT_FRAME_LEN, hop: i
     return (n_samples - frame_len) // hop + 1, frame_len // 2 + 1
 
 
+@functools.cache
 def hann_window(n: int) -> np.ndarray:
-    """Symmetric Hann window, 0.5 - 0.5 cos(2 pi k / (n - 1))."""
+    """Symmetric Hann window, 0.5 - 0.5 cos(2 pi k / (n - 1)); cached, so read-only."""
     if n == 1:
-        return np.ones(1)
-    k = np.arange(n)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * k / (n - 1))
-
-
-class WindowWorkspace:
-    """The arrays one audio window at a time is analysed in.
-
-    `array(name, shape, dtype)` returns the same array every time it is
-    asked for the same name, shape and dtype, and `hann(n)` computes each
-    window function once. A replay passes one workspace to every window,
-    so the STFT and the classifier input of a window allocate nothing:
-    each window overwrites the arrays the previous one filled.
-    """
-
-    def __init__(self) -> None:
-        self._arrays: dict[tuple, np.ndarray] = {}
-
-    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        key = (name, shape, np.dtype(dtype))
-        arr = self._arrays.get(key)
-        if arr is None:
-            arr = self._arrays[key] = np.empty(shape, dtype)
-        return arr
-
-    def hann(self, n: int) -> np.ndarray:
-        key = ("hann", n)
-        arr = self._arrays.get(key)
-        if arr is None:
-            arr = self._arrays[key] = hann_window(n)
-        return arr
+        arr = np.ones(1)
+    else:
+        k = np.arange(n)
+        arr = 0.5 - 0.5 * np.cos(2.0 * np.pi * k / (n - 1))
+    arr.flags.writeable = False
+    return arr
 
 
 def stft_spectrogram(
     window: PcmWindow,
     frame_len: int = DEFAULT_FRAME_LEN,
     hop: int = DEFAULT_HOP,
-    workspace: WindowWorkspace | None = None,
 ) -> Spectrogram:
     """Hann-windowed short-time transform, magnitudes of bins 0..frame_len/2.
 
     frame_len must be a power of two and 0 < hop <= frame_len. A
     16000-sample window at the 512/256 defaults yields a 61 x 257
-    matrix.
-
-    The windowed frames, the spectrum and the magnitudes are written to
-    arrays of `workspace`, or of a fresh one when none is given. The
-    returned Spectrogram holds the workspace's magnitude array, so the
-    next window through the same workspace overwrites it.
+    matrix, in a new array that belongs to the caller.
     """
     if frame_len < 2 or frame_len & (frame_len - 1):
         raise ValueError(f"frame_len must be a power of two, got {frame_len}")
@@ -143,10 +114,6 @@ def stft_spectrogram(
     n = samples.shape[0]
     if n < frame_len:
         raise WindowTooShort(f"window of {n} samples is shorter than one {frame_len}-sample frame")
-    ws = WindowWorkspace() if workspace is None else workspace
     frames = np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop]
-    shape = spectrogram_shape(n, frame_len, hop)
-    windowed = np.multiply(frames, ws.hann(frame_len), out=ws.array("frames", frames.shape))
-    spectrum = np.fft.rfft(windowed, axis=-1, out=ws.array("spectrum", shape, np.complex128))
-    mags = np.abs(spectrum, out=ws.array("magnitudes", shape))
+    mags = np.abs(np.fft.rfft(frames * hann_window(frame_len), axis=-1))
     return Spectrogram(magnitudes=mags, frame_len=frame_len, hop=hop)

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import EngineError, as_bool, as_int, as_list, as_object, as_str, decode_json
-from .dsp import Spectrogram, WindowWorkspace
+from .dsp import Spectrogram
 
 VOICE_CLASS = 1
 MODEL_MAGIC = b"VOICEMDL"
@@ -367,24 +367,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def classify_window(
-    spec: Spectrogram, model: VoiceModel, workspace: WindowWorkspace | None = None
-) -> float:
+def classify_window(spec: Spectrogram, model: VoiceModel) -> float:
     """Probability that the window holds a human voice.
 
-    Deterministic forward pass over the log-compressed spectrogram;
-    raises ShapeMismatch when the spectrogram does not fit the model.
-    The model input is written to an array of `workspace`, or of a fresh one
-    when none is given.
+    Deterministic forward pass over the log-compressed spectrogram, cast
+    to the model's dtype; raises ShapeMismatch when the spectrogram does
+    not fit the model.
     """
     if spec.shape != model.input_shape:
         raise ShapeMismatch(
             f"spectrogram shape {spec.shape} does not match model input {model.input_shape}"
         )
-    ws = WindowWorkspace() if workspace is None else workspace
-    x = ws.array("model_input", (1, *spec.shape, 1), model.dtype)
-    spec.model_input(out=x[0, :, :, 0])
-    logits = model.forward(x)
+    logits = model.forward(spec.model_input()[None, :, :, None].astype(model.dtype))
     return float(softmax(logits)[0, VOICE_CLASS])
 
 

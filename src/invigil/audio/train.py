@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import EngineError, as_int, as_str, check_fields, json_fields, json_lines
 from ..events import pcm_samples
-from .dsp import PcmWindow, Spectrogram, WindowWorkspace, stft_spectrogram
+from .dsp import PcmWindow, Spectrogram, stft_spectrogram
 from .model import ShapeMismatch, VoiceModel, default_voice_model, softmax
 
 LABEL_VOICE = "voice"
@@ -110,13 +110,12 @@ def _to_arrays(
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
     if not items:
         raise EmptyDataset(f"{what} set is empty")
-    ws = WindowWorkspace()
     x = None
     labels = []
     for k, (obj, label) in enumerate(items):
         if label not in _LABEL_INDEX:
             raise EngineError(f"label must be '{LABEL_VOICE}' or '{LABEL_NON_VOICE}', got {label!r}")
-        spec = obj if isinstance(obj, Spectrogram) else stft_spectrogram(obj, workspace=ws)
+        spec = obj if isinstance(obj, Spectrogram) else stft_spectrogram(obj)
         if x is None:
             x = np.empty((len(items), *spec.shape, 1), dtype=np.float32)
         elif spec.shape != x.shape[1:3]:

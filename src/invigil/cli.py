@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio.dsp import WindowWorkspace, spectrogram_shape
+from .audio.dsp import spectrogram_shape
 from .audio.model import ShapeMismatch, band_contrast_model, load_model, save_model
 from .audio.train import TrainingConfig, cross_validate, load_corpus, train_voice_model
 from .config import BadConfig, EngineConfig
@@ -211,7 +211,6 @@ def _helper(path: str, offset: int, lineno: int, model, base_dir: Path, out: int
     `window_probability`, as in the parent. A line that is not an audio window,
     or that raises anything, is declined: the helper never decides an error.
     """
-    workspace = WindowWorkspace()
     with open(path, "rb", buffering=1 << 20) as fh:
         fh.seek(offset)
         for lineno, line, helpers in _window_turns(enumerate(fh, start=lineno)):
@@ -222,7 +221,7 @@ def _helper(path: str, offset: int, lineno: int, model, base_dir: Path, out: int
                 ev = read_event_line(lineno, line)
                 if ev is not None and ev.kind is EventKind.AUDIO_WINDOW:
                     ev = resolve_audio(ev, base_dir)
-                    prob = window_probability(ev, model, workspace)
+                    prob = window_probability(ev, model)
                     record = _HELPER_RECORD.pack(lineno, len(line), ev.t_ms, prob, False)
             except Exception:  # the parent reads the line again and reports what it raises
                 pass

@@ -611,9 +611,10 @@ def load_audio_samples(payload: AudioWindowPayload, base_dir: str | Path = ".") 
             raise AudioIntegrityError(
                 f"audio file {path} hash mismatch: expected {payload.sha256}, got {digest}"
             )
-    if len(raw) % 2:
-        raise AudioIntegrityError(f"audio file {path} holds {len(raw)} bytes, not whole 16-bit samples")
-    samples = pcm_samples(raw)
+    try:
+        samples = pcm_samples(raw)
+    except ValueError as exc:
+        raise AudioIntegrityError(f"audio file {path} {exc}") from exc
     if samples.shape[0] != payload.sample_rate:
         raise AudioIntegrityError(
             f"audio file {path} holds {samples.shape[0]} samples, expected {payload.sample_rate}"
@@ -645,7 +646,12 @@ def pcm_bytes(samples: np.ndarray) -> bytes:
 
 
 def pcm_samples(raw: bytes) -> np.ndarray:
-    """Decode raw 16-bit little-endian PCM to float64 samples in [-1, 1)."""
+    """Decode raw 16-bit little-endian PCM to float64 samples in [-1, 1).
+
+    Raises ValueError for an odd byte count.
+    """
+    if len(raw) % 2:
+        raise ValueError(f"holds {len(raw)} bytes, not whole 16-bit samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     samples /= 32768.0
     return samples

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .audio.dsp import PcmWindow, WindowWorkspace, stft_spectrogram
+from .audio.dsp import PcmWindow, stft_spectrogram
 from .audio.model import NonFiniteOutput, VoiceModel, band_contrast_model, classify_window
 from .config import EngineConfig
 from .errors import EngineError, json_document, json_fields
@@ -208,7 +208,7 @@ def _step_embedding(
         _flag(state, FlagKind.ANOTHER_PERSON, ev.t_ms, cfg, distance=decision.min_distance)
 
 
-def window_probability(ev: SensorEvent, voice_model: VoiceModel, workspace: WindowWorkspace | None) -> float:
+def window_probability(ev: SensorEvent, voice_model: VoiceModel) -> float:
     """The voice probability of an audio-window event's inline samples, by `voice_model`.
 
     Raises AudioIntegrityError for a window that still references a file,
@@ -221,9 +221,9 @@ def window_probability(ev: SensorEvent, voice_model: VoiceModel, workspace: Wind
             "resolve file references before replay"
         )
     window = PcmWindow(sample_rate=payload.sample_rate, samples=payload.samples)
-    spec = stft_spectrogram(window, workspace=workspace)
+    spec = stft_spectrogram(window)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite probability
-        prob = classify_window(spec, voice_model, workspace=workspace)
+        prob = classify_window(spec, voice_model)
     if not math.isfinite(prob):
         raise NonFiniteOutput(f"voice model gave probability {prob} for the audio window at t={ev.t_ms}")
     return prob
@@ -238,23 +238,16 @@ def _step_voice(state: PipelineState, t_ms: int, prob: float, cfg: EngineConfig)
         _flag(state, FlagKind.VOICE_DETECTION, t_ms, cfg, score=prob)
 
 
-def step(
-    state: PipelineState,
-    ev: SensorEvent,
-    cfg: EngineConfig,
-    voice_model: VoiceModel,
-    workspace: WindowWorkspace | None = None,
-) -> None:
+def step(state: PipelineState, ev: SensorEvent, cfg: EngineConfig, voice_model: VoiceModel) -> None:
     """Advance the state machine by one event.
 
     Mutates `state`; the flags so far are in `state.flags`, where a device
     flag is upgraded in place while its run lasts. An audio window is
-    classified by `voice_model`, in `workspace` when one is given (see
-    `replay_events`); a `ClassifiedWindow` carries its probability. Events
-    must arrive in non-decreasing t_ms; the fold does not check this.
-    Order is checked where events enter the engine: by the log parser
-    (before the frame-rate cap, which could drop an out-of-order frame)
-    and by `SessionLog` for in-memory logs.
+    classified by `voice_model`; a `ClassifiedWindow` carries its
+    probability. Events must arrive in non-decreasing t_ms; the fold does
+    not check this. Order is checked where events enter the engine: by
+    the log parser (before the frame-rate cap, which could drop an
+    out-of-order frame) and by `SessionLog` for in-memory logs.
     """
     if ev.kind is EventKind.FRAME_DETECTIONS:
         _step_frame(state, ev, ev.payload, cfg)
@@ -264,7 +257,7 @@ def step(
         if type(ev.payload) is ClassifiedWindow:
             prob = ev.payload.probability
         else:
-            prob = window_probability(ev, voice_model, workspace)
+            prob = window_probability(ev, voice_model)
         _step_voice(state, ev.t_ms, prob, cfg)
     # FrameImage: evidence imagery only; no rule reads it
     state.last_event_t_ms = ev.t_ms
@@ -304,17 +297,14 @@ def replay_events(
     An EngineError raised by an event is re-raised with `unit` and that
     event's number in front, so errors during the replay of a log file
     name its line. Audio windows go through the built-in band-contrast
-    classifier when no voice model is given. All windows of the replay
-    are analysed in one `WindowWorkspace`, so each window's spectrogram
-    and model input overwrite the previous window's.
+    classifier when no voice model is given.
     """
     if voice_model is None:
         voice_model = band_contrast_model()
     state = PipelineState.initial(references)
-    workspace = WindowWorkspace()
     for number, ev in events:
         try:
-            step(state, ev, cfg, voice_model, workspace)
+            step(state, ev, cfg, voice_model)
         except EngineError as exc:
             raise type(exc)(f"{unit} {number}: {exc}") from exc
     return finalize_report(state, session_id, cfg)

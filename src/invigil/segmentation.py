@@ -202,9 +202,9 @@ def process_evidence_frames(
 # Fixture I/O: binary PPM (P6) frames and PBM (P4) masks.
 
 
-def _read_pnm_header(data: bytes, magic: bytes, fields: int) -> tuple[list[int], int]:
+def _read_pnm_header(path: str | Path, data: bytes, magic: bytes, fields: int) -> tuple[list[int], int]:
     if not data.startswith(magic):
-        raise EngineError(f"expected {magic.decode()} header")
+        raise EngineError(f"{path}: expected {magic.decode()} header")
     pos = 2
     values: list[int] = []
     while len(values) < fields:
@@ -217,7 +217,12 @@ def _read_pnm_header(data: bytes, magic: bytes, fields: int) -> tuple[list[int],
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        values.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not token:
+            raise EngineError(f"{path}: {magic.decode()} header ends after {len(values)} of {fields} numbers")
+        if not token.isdigit():
+            raise EngineError(f"{path}: {magic.decode()} header holds {token!r}, not a decimal number")
+        values.append(int(token))
     return values, pos + 1  # single whitespace byte after the header
 
 
@@ -228,7 +233,7 @@ def write_ppm(frame: Frame, path: str | Path) -> None:
 
 def read_ppm(path: str | Path) -> Frame:
     data = Path(path).read_bytes()
-    (w, h, maxval), offset = _read_pnm_header(data, b"P6", 3)
+    (w, h, maxval), offset = _read_pnm_header(path, data, b"P6", 3)
     if maxval != 255:
         raise EngineError(f"{path}: only maxval 255 supported, got {maxval}")
     body = data[offset : offset + w * h * 3]
@@ -246,7 +251,7 @@ def write_pbm(mask: PersonMask, path: str | Path) -> None:
 
 def read_pbm(path: str | Path, mask_id: int = 0) -> PersonMask:
     data = Path(path).read_bytes()
-    (w, h), offset = _read_pnm_header(data, b"P4", 2)
+    (w, h), offset = _read_pnm_header(path, data, b"P4", 2)
     row_bytes = (w + 7) // 8
     body = data[offset : offset + row_bytes * h]
     if len(body) != row_bytes * h:

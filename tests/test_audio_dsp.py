@@ -100,6 +100,13 @@ def test_hann_length_one():
     assert np.array_equal(hann_window(1), np.ones(1))
 
 
+def test_hann_is_computed_once_and_read_only():
+    w = hann_window(512)
+    assert hann_window(512) is w
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # Spectrogram
 

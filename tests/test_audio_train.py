@@ -326,7 +326,7 @@ def test_load_corpus_rejects_short_file(tmp_path):
 @pytest.mark.parametrize(
     "raw, message",
     [
-        (bytes(32_001), "buffer size must be a multiple of element size"),
+        (bytes(32_001), "b.pcm: holds 32001 bytes, not whole 16-bit samples"),
         (None, "No such file or directory"),
     ],
 )

@@ -118,6 +118,7 @@ def assets(tmp_path_factory):
             (corpus / name).write_bytes(pcm_bytes(synth_audio(kind, seed=100 + i).samples))
             lines.append(json.dumps({"path": name, "label": label}))
     (root / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    (corpus / "odd.pcm").write_bytes(bytes(32_001))  # listed by no manifest of the fixture
 
     (root / "train.json").write_text(
         json.dumps(
@@ -625,6 +626,13 @@ _BIG_INT = "1" + "0" * 400
             '{"path": "missing.pcm", "label": "voice"}',
             "EngineError",
             "{path}:1: missing.pcm: [Errno 2] No such file or directory",
+        ),
+        # before, numpy's "buffer size must be a multiple of element size"
+        (
+            "train-voice",
+            '{"path": "odd.pcm", "label": "voice"}',
+            "EngineError",
+            "{path}:1: odd.pcm: holds 32001 bytes, not whole 16-bit samples",
         ),
         ("eval-objects", _NEST, "EngineError", "{path}:1: not valid JSON: maximum recursion depth"),
         (

@@ -1,15 +1,11 @@
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from invigil import pipeline
-from invigil.audio.dsp import WindowWorkspace
 from invigil.audio.model import band_contrast_model
 from invigil.config import EngineConfig
 from invigil.events import AudioWindowPayload, EventKind, SensorEvent
@@ -345,40 +341,6 @@ def test_voice_debounce(identity, audio_pool):
     report = _replay(events, refs)
     assert [f.t_ms for f in report.flags] == [0, 3000]
     assert all(f.kind is FlagKind.VOICE_DETECTION for f in report.flags)
-
-
-def test_replay_analyses_every_window_in_one_workspace(identity, audio_pool, monkeypatch):
-    _, refs = identity
-    seen = []
-    stft = pipeline.stft_spectrogram
-
-    def recording_stft(window, **kwargs):
-        seen.append(kwargs["workspace"])
-        return stft(window, **kwargs)
-
-    monkeypatch.setattr(pipeline, "stft_spectrogram", recording_stft)
-    keys = ("voiced", "unvoiced", "quiet", "voiced2")
-    run_session(make_log([audio_event(1000 * i, audio_pool[k]) for i, k in enumerate(keys)], refs))
-    assert len(seen) == 4
-    assert isinstance(seen[0], WindowWorkspace)
-    assert all(ws is seen[0] for ws in seen)
-
-
-def test_band_model_audio_step_allocates_little_after_the_first_window(identity, audio_pool):
-    # the first window fills the workspace; later ones reuse its arrays
-    _, refs = identity
-    state, ws = PipelineState.initial(refs), WindowWorkspace()
-    keys = ("voiced", "unvoiced", "quiet", "voiced2", "voiced")
-    events = [audio_event(1000 * i, audio_pool[k]) for i, k in enumerate(keys)]
-    step(state, events[0], CFG, VOICE, ws)
-    for ev in events[1:]:
-        tracemalloc.start()
-        try:
-            step(state, ev, CFG, VOICE, ws)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 256 * 1024, peak
 
 
 # ---------------------------------------------------------------------------

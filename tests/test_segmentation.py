@@ -275,3 +275,21 @@ def test_ppm_rejects_wrong_magic(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n" + b"\x00" * 12)
     with pytest.raises(EngineError):
         read_ppm(path)
+
+
+@pytest.mark.parametrize(
+    "read, data, message",
+    [
+        # before, each of these was a bare ValueError from int() that named no file
+        (read_ppm, b"P6\n2", "P6 header ends after 1 of 3 numbers"),
+        (read_pbm, b"P4", "P4 header ends after 0 of 2 numbers"),
+        (read_ppm, b"P6\nab 2\n255\n" + bytes(12), "P6 header holds b'ab', not a decimal number"),
+        (read_pbm, b"P4\n-2 2\n" + bytes(2), "P4 header holds b'-2', not a decimal number"),
+    ],
+)
+def test_pnm_bad_header_is_an_engine_error_naming_the_file(tmp_path, read, data, message):
+    path = tmp_path / "bad.pnm"
+    path.write_bytes(data)
+    with pytest.raises(EngineError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: {message}"
