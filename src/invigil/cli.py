@@ -33,14 +33,16 @@ from .audio.model import ShapeMismatch, band_contrast_model, load_model, save_mo
 from .audio.train import TrainingConfig, cross_validate, load_corpus, train_voice_model
 from .config import BadConfig, EngineConfig
 from .errors import EngineError, as_object, decode_json, from_json, json_document
-# parse_session_log, resample_frames and resolve_audio_refs (the whole-log
-# forms of the analyze steps) are not called here but stay attributes of
-# this module, because bench/tracer.py wraps them.
+# The whole-log forms of the analyze and simulate steps (parse_session_log, resample_frames, resolve_audio_refs,
+# serialize_session_log, run_session, generate_session) are not called here but stay attributes of this
+# module, because bench/tracer.py wraps them.
 from .events import (  # noqa: F401
+    AUDIO_DIR,
     DEFAULT_SAMPLE_RATE,
     AudioIntegrityError,
     ClassifiedWindow,
     EventKind,
+    SensorEvent,
     parse_session_log,
     read_event_line,
     read_session_log,
@@ -48,11 +50,12 @@ from .events import (  # noqa: F401
     resolve_audio,
     resolve_audio_refs,
     serialize_session_log,
-    write_audio_side_files,
+    session_log_lines,
+    write_side_file,
 )
 from .objectgate import evaluate_dataset, read_detection_dataset
-from .pipeline import replay_events, report_to_json, run_session, window_probability
-from .simulator import evaluate_reports, generate_session, load_scenario_file
+from .pipeline import replay_events, report_to_json, run_session, window_probability  # noqa: F401
+from .simulator import evaluate_reports, generate_session, load_scenario_file, plan_session  # noqa: F401
 
 
 def _print_effective(cfg: EngineConfig | None, seed: int | None, extra: dict | None = None) -> None:
@@ -90,19 +93,25 @@ def _load_config(path: str | None, base: EngineConfig) -> tuple[EngineConfig, Tr
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    base_dir = Path(args.log).parent
-    # a 1 MiB buffer holds several inline-audio lines, so iterating them
-    # reads the file in few system calls
-    with open(args.log, "rb", buffering=1 << 20) as fh:
-        log = read_session_log(fh)
-        cfg, _ = _load_config(args.config, log.config)
-        model = band_contrast_model() if args.voice_model is None else _session_voice_model(args.voice_model)
-        _print_effective(cfg, None, {"references": len(log.reference_embeddings)})
-        with closing(_split_lines(fh, args.log, log.lines, model, base_dir)) as lines:
-            events = _resolved(dataclasses.replace(log, lines=lines).events(cfg.max_fps), base_dir)
-            report = replay_events(log.reference_embeddings, log.session_id, events, cfg, model)
+    report = _analyze(args.log, args.config, args.voice_model, announce=True)
     Path(args.out).write_bytes(report_to_json(report))
     return 0
+
+
+def _analyze(path: str, config: str | None = None, voice_model: str | None = None, announce: bool = False):
+    """The report of the session log at `path`; with `announce`, the effective-config line is printed."""
+    base_dir = Path(path).parent
+    # a 1 MiB buffer holds several inline-audio lines, so iterating them
+    # reads the file in few system calls
+    with open(path, "rb", buffering=1 << 20) as fh:
+        log = read_session_log(fh)
+        cfg, _ = _load_config(config, log.config)
+        model = band_contrast_model() if voice_model is None else _session_voice_model(voice_model)
+        if announce:
+            _print_effective(cfg, None, {"references": len(log.reference_embeddings)})
+        with closing(_split_lines(fh, path, log.lines, model, base_dir)) as lines:
+            events = _resolved(dataclasses.replace(log, lines=lines).events(cfg.max_fps), base_dir)
+            return replay_events(log.reference_embeddings, log.session_id, events, cfg, model)
 
 
 # A log's audio windows are split between two processes. From the first window
@@ -255,12 +264,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     cfg = EngineConfig()
     _print_effective(cfg, spec.seed)
-    log, gt = generate_session(spec, cfg)
-    report = run_session(log)
-    metrics = evaluate_reports([report], [gt])
+    plan, gt = plan_session(spec, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "session.jsonl").write_bytes(serialize_session_log(write_audio_side_files(log, out_dir)))
+    (out_dir / AUDIO_DIR).mkdir(exist_ok=True)
+    # one line, and one window's samples, at a time; the report is read back from the log as written
+    events = (ev if type(ev) is SensorEvent else write_side_file(out_dir, ev.t_ms, ev.pcm()) for ev in plan.events)
+    with open(out_dir / "session.jsonl", "wb") as fh:
+        fh.writelines(session_log_lines(plan, events))
+    report = _analyze(str(out_dir / "session.jsonl"))
+    metrics = evaluate_reports([report], [gt])
     (out_dir / "ground_truth.json").write_bytes(json_document(gt.to_dict()))
     (out_dir / "report.json").write_bytes(report_to_json(report))
     (out_dir / "metrics.json").write_bytes(json_document(metrics.to_dict()))

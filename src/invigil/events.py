@@ -4,7 +4,7 @@ A session log is a line-delimited JSON stream: a header record, a
 reference-embeddings record, then timestamped sensor events (frame
 detections, face embeddings, one-second audio windows, frame image
 references). Serialization is canonical so identical logs give
-identical bytes.
+identical bytes, written whole or one line at a time (`session_log_lines`).
 
 Reading is one pass over the lines. `read_session_log` parses the header
 and references at once; `SessionStream.events(max_fps)` then yields each
@@ -19,8 +19,9 @@ load audio side files per event or per log.
 
 Audio windows are stored inline as JSON floats or, as a client ships
 them, in 16-bit PCM side files named in the log with their sha256.
-`write_audio_side_files` moves a log's inline windows to side files; it
-only takes samples already on the 16-bit grid, so the move is lossless.
+`write_audio_side_files` moves a log's inline windows to side files
+through `write_side_file`; it only takes samples already on the 16-bit
+grid, so the move is lossless.
 
 Each check is written once. The types own the value checks: `SensorEvent`
 the timestamp and the payload type, `AudioWindowPayload` the 16 kHz rate
@@ -496,8 +497,8 @@ def parse_session_log(stream: bytes | str | Iterable[bytes]) -> SessionLog:
 # Serialization
 
 
-def _dump(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _line(obj: Any) -> bytes:
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def _payload_to_dict(payload: Payload) -> dict:
@@ -530,20 +531,15 @@ def _payload_to_dict(payload: Payload) -> dict:
 
 def serialize_session_log(log: SessionLog) -> bytes:
     """Canonical line-delimited form; parses back to an equal SessionLog."""
-    lines = [
-        _dump({"kind": "header", "session_id": log.session_id, "config": log.config.to_dict()}),
-        _dump(
-            {
-                "kind": "references",
-                "embeddings": log.reference_embeddings.matrix.tolist(),
-            }
-        ),
-    ]
-    for ev in log.events:
-        lines.append(
-            _dump({"t_ms": ev.t_ms, "kind": ev.kind.value, "payload": _payload_to_dict(ev.payload)})
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return b"".join(session_log_lines(log, log.events))
+
+
+def session_log_lines(log: SessionLog, events: Iterable[SensorEvent]) -> Iterator[bytes]:
+    """The canonical lines of `log`'s header and references, then of `events`, each made as it is taken."""
+    yield _line({"kind": "header", "session_id": log.session_id, "config": log.config.to_dict()})
+    yield _line({"kind": "references", "embeddings": log.reference_embeddings.matrix.tolist()})
+    for ev in events:
+        yield _line({"t_ms": ev.t_ms, "kind": ev.kind.value, "payload": _payload_to_dict(ev.payload)})
 
 
 # ---------------------------------------------------------------------------
@@ -683,11 +679,14 @@ def write_audio_side_files(log: SessionLog, out_dir: str | Path) -> SessionLog:
             if ev.t_ms in written:
                 raise ValueError(f"two audio windows at t={ev.t_ms} ms would share one side file")
             written.add(ev.t_ms)
-            path = f"{AUDIO_DIR}/{ev.t_ms}.pcm"
-            (out_dir / path).write_bytes(raw)
-            payload = AudioWindowPayload(
-                sample_rate=ev.payload.sample_rate, path=path, sha256=hashlib.sha256(raw).hexdigest()
-            )
-            ev = replace(ev, payload=payload)
+            ev = write_side_file(out_dir, ev.t_ms, raw)
         events.append(ev)
     return replace(log, events=tuple(events))
+
+
+def write_side_file(out_dir: Path, t_ms: int, raw: bytes) -> SensorEvent:
+    """The audio window at `t_ms` in the side file `out_dir/audio/<t_ms>.pcm`, written with the PCM `raw`."""
+    path = f"{AUDIO_DIR}/{t_ms}.pcm"
+    (out_dir / path).write_bytes(raw)
+    payload = AudioWindowPayload(path=path, sha256=hashlib.sha256(raw).hexdigest())
+    return SensorEvent(t_ms=t_ms, kind=EventKind.AUDIO_WINDOW, payload=payload)

@@ -223,6 +223,8 @@ def _read_pnm_header(path: str | Path, data: bytes, magic: bytes, fields: int) -
         if not token.isdigit():
             raise EngineError(f"{path}: {magic.decode()} header holds {token!r}, not a decimal number")
         values.append(int(token))
+    if 0 in values[:2]:
+        raise EngineError(f"{path}: {magic.decode()} header gives an empty {values[0]} x {values[1]} image")
     return values, pos + 1  # single whitespace byte after the header
 
 

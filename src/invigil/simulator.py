@@ -11,13 +11,16 @@ hold the engine to it.
 Ground-truth windows are exact for well-separated episodes (>= 2 s
 apart). Overlapping episodes still generate deterministically, but the
 per-episode windows may then merge under debouncing.
+
+`plan_session` leaves each audio window a recipe, so `simulate` makes a
+window's samples only as it writes them; `generate_session` inlines them all.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -47,8 +50,8 @@ REFERENCE_SPREAD = 0.05
 CANDIDATE_NOISE = (0.10, 0.20)
 IMPOSTOR_DISTANCE = 1.2
 BACKGROUND_NOISE_GAIN = 0.1
-# Longest scenario accepted: well over a 1-2 h exam, and short enough that
-# generating the whole session in memory stays feasible.
+# Longest scenario accepted: well over a 1-2 h exam. `simulate` holds one audio
+# window at a time, but its frames and embeddings grow with the session.
 MAX_DURATION_MS = 4 * 3600 * 1000
 
 
@@ -253,14 +256,40 @@ def _frame_grid(duration_ms: int, max_fps: float) -> list[int]:
         i += 1
 
 
+@dataclass(frozen=True)
+class WindowRecipe:
+    """An audio window of a planned session: its time, whether it is voiced, and its synthesis seed."""
+
+    t_ms: int
+    voiced: bool
+    sub: int
+
+    def pcm(self) -> bytes:
+        """The window's samples as 16-bit PCM."""
+        samples = synth_audio("voiced" if self.voiced else "unvoiced", self.sub).samples
+        return pcm_bytes(samples if self.voiced else samples * BACKGROUND_NOISE_GAIN)
+
+
 def generate_session(spec: ScenarioSpec, cfg: EngineConfig | None = None) -> tuple[SessionLog, GroundTruth]:
     """Build one synthetic session log plus its expected flags.
 
     Deterministic per (spec, config). Candidate embeddings sit within
     0.25 of the nearest reference, impostor embeddings beyond 1.1;
     device scores equal the episode intensity; absence and impostor
-    episodes suppress person frames.
+    episodes suppress person frames. Audio windows hold their samples
+    inline, on the 16-bit grid.
     """
+    plan, gt = plan_session(spec, cfg)
+    events = tuple(ev if type(ev) is SensorEvent else _inline(ev) for ev in plan.events)
+    return replace(plan, events=events), gt
+
+
+def _inline(recipe: WindowRecipe) -> SensorEvent:
+    return SensorEvent(recipe.t_ms, EventKind.AUDIO_WINDOW, AudioWindowPayload(samples=pcm_samples(recipe.pcm())))
+
+
+def plan_session(spec: ScenarioSpec, cfg: EngineConfig | None = None) -> tuple[SessionLog, GroundTruth]:
+    """`generate_session`'s log and ground truth, with each audio window still a `WindowRecipe`."""
     if cfg is None:
         cfg = EngineConfig()
     rng = np.random.default_rng(np.random.SeedSequence([0x51D, spec.seed & 0xFFFFFFFF]))
@@ -389,26 +418,16 @@ def generate_session(spec: ScenarioSpec, cfg: EngineConfig | None = None) -> tup
 
     # Audio pass: one window per second; a window is voiced only when it
     # fits entirely inside a speech episode.
-    audio: list[SensorEvent] = []
+    audio: list[WindowRecipe] = []
     speech_eps = [ep for ep in spec.episodes if ep.kind is EpisodeKind.BACKGROUND_SPEECH]
     voiced_first: dict[int, int] = {}
     for w in range(0, spec.duration_ms - AUDIO_WINDOW_MS + 1, AUDIO_WINDOW_MS):
         voiced_ep = next(
             (ep for ep in speech_eps if w >= ep.start_ms and w + AUDIO_WINDOW_MS <= ep.end_ms), None
         )
-        sub = int(rng.integers(0, 2**31 - 1))
+        audio.append(WindowRecipe(w, voiced_ep is not None, int(rng.integers(0, 2**31 - 1))))
         if voiced_ep is not None:
-            samples = synth_audio("voiced", sub).samples
             voiced_first.setdefault(id(voiced_ep), w)
-        else:
-            samples = synth_audio("unvoiced", sub).samples * BACKGROUND_NOISE_GAIN
-        audio.append(
-            SensorEvent(
-                t_ms=w,
-                kind=EventKind.AUDIO_WINDOW,
-                payload=AudioWindowPayload(sample_rate=DEFAULT_SAMPLE_RATE, samples=_quantize(samples)),
-            )
-        )
     for ep in speech_eps:
         if id(ep) in voiced_first:
             windows.append(FlagWindow(kind=FlagKind.VOICE_DETECTION, start_ms=ep.start_ms, end_ms=ep.end_ms))

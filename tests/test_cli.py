@@ -47,6 +47,7 @@ from invigil.events import (
     pcm_bytes,
     read_session_log,
     serialize_session_log,
+    write_audio_side_files,
 )
 from invigil.facematch import Embedding
 from invigil.objectgate import BoundingBox, Detection
@@ -344,6 +345,32 @@ def test_analyze_reproduces_simulated_report(assets, tmp_path):
     proc = run_cli("analyze", "--log", str(out_dir / "session.jsonl"), "--out", str(replayed))
     assert proc.returncode == 0, proc.stderr
     assert replayed.read_bytes() == (out_dir / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "serial"])
+@pytest.mark.parametrize("seed", [0, 3, 8, 17])
+def test_simulate_writes_what_the_in_memory_log_gives(tmp_path, monkeypatch, seed, split):
+    # simulate writes its log one line and one window at a time and reads its
+    # report back through analyze, with the helper forked or not; every
+    # artifact must be what the log generate_session builds gives
+    forks = []
+    fork_helper = cli._fork_helper
+    monkeypatch.setattr(cli, "_split_possible", lambda fh: split)
+    monkeypatch.setattr(cli, "_fork_helper", lambda *args: forks.append(args) or fork_helper(*args))
+    spec = random_scenario(seed)
+    save_scenario_file(spec, tmp_path / "spec.json")
+    out, expected = tmp_path / "out", tmp_path / "expected"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run_cli(["simulate", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(out)])
+    assert code == 0
+    assert len(forks) == split
+    log, _ = generate_session(spec)
+    assert (out / "session.jsonl").read_bytes() == serialize_session_log(write_audio_side_files(log, expected))
+    names = sorted(path.name for path in (expected / "audio").iterdir())
+    assert names and names == sorted(path.name for path in (out / "audio").iterdir())
+    for name in names:
+        assert (out / "audio" / name).read_bytes() == (expected / "audio" / name).read_bytes()
+    assert (out / "report.json").read_bytes() == report_to_json(run_session(log))
 
 
 def test_library_and_analyze_give_the_same_report(tmp_path):
@@ -1123,6 +1150,24 @@ def test_analyze_peak_memory_does_not_grow_with_session_length(tmp_path):
         try:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.run_cli(["analyze", "--log", str(path), "--out", str(tmp_path / "r.json")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    short, long = peaks
+    assert long < 1.25 * short, peaks
+    assert long < 8 * 2**20, peaks
+
+
+def test_simulate_peak_memory_does_not_grow_with_session_length(tmp_path):
+    peaks = []
+    for duration_ms in (60_000, 120_000):
+        spec = tmp_path / f"spec{duration_ms}.json"
+        save_scenario_file(dataclasses.replace(random_scenario(3), duration_ms=duration_ms), spec)
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.run_cli(["simulate", "--spec", str(spec), "--out-dir", str(tmp_path / f"out{duration_ms}")])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

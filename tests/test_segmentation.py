@@ -285,6 +285,10 @@ def test_ppm_rejects_wrong_magic(tmp_path):
         (read_pbm, b"P4", "P4 header ends after 0 of 2 numbers"),
         (read_ppm, b"P6\nab 2\n255\n" + bytes(12), "P6 header holds b'ab', not a decimal number"),
         (read_pbm, b"P4\n-2 2\n" + bytes(2), "P4 header holds b'-2', not a decimal number"),
+        # before, these read as empty images, which blur_frame then failed on with numpy's bare ValueError
+        (read_ppm, b"P6\n0 0\n255\n", "P6 header gives an empty 0 x 0 image"),
+        (read_ppm, b"P6\n2 0\n255\n", "P6 header gives an empty 2 x 0 image"),
+        (read_pbm, b"P4\n0 3\n", "P4 header gives an empty 0 x 3 image"),
     ],
 )
 def test_pnm_bad_header_is_an_engine_error_naming_the_file(tmp_path, read, data, message):
